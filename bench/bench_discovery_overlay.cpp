@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
     obs::Registry registry;
     obs::Tracer tracer(1 << 14);
     Swarm tiny(256, 7, false);
-    tiny.nodes[0]->set_obs(&tracer, "querier");
+    tiny.nodes[0]->set_obs(registry, &tracer, "querier");
     tiny.overlays[0]->set_obs(registry, &tracer, "querier");
     tiny.plant_adverts();
     tiny.overlays[0]->find(wanted_query(), SIZE_MAX,

@@ -132,7 +132,7 @@ Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
   r.reliable_delivered = static_cast<double>(got) / g_messages;
   r.retx_per_msg =
       static_cast<double>(a.stats().retransmits) / g_messages;
-  r.dup_suppressed = b.stats().duplicates_suppressed;
+  r.dup_suppressed = b.stats().dedup_hits;
   r.expired = a.stats().expired;
   r.mean_latency_ms = got ? latency_sum / got * 1000.0 : 0.0;
   return r;

@@ -28,11 +28,14 @@ if [[ "${1:-}" == "tsan" ]]; then
   # test_obs_http scrapes /metrics from client threads while a mutator
   # thread pounds the instruments -- the exact race surface of the obs
   # HTTP plane.
+  # test_integration runs whole services on separate threads, one
+  # TcpTransport each: every counter cell must stay on its owner's thread.
   cmake --build "${TSAN_DIR}" -j --target \
     test_parallel_runtime test_rm test_core_runtime test_cas test_chaos \
-    test_wire test_overlay test_obs_http
+    test_wire test_overlay test_obs_http test_integration
   for t in test_parallel_runtime test_rm test_core_runtime test_cas \
-           test_chaos test_wire test_overlay test_obs_http; do
+           test_chaos test_wire test_overlay test_obs_http \
+           test_integration; do
     "./${TSAN_DIR}/tests/${t}"
   done
   echo "tier-1 (tsan): OK"
@@ -56,10 +59,12 @@ cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # test_overlay joins the ASan tier: lookup/find state machines erase their
 # own entries from inside timer closures, the classic shape for a
 # use-after-free when a late reply races a timeout.
+# test_integration: whole services on separate threads over sockets.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
-  test_obs test_obs_http test_wire test_tcp_parity test_overlay
+  test_obs test_obs_http test_wire test_tcp_parity test_overlay \
+  test_integration
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
-         test_wire test_tcp_parity test_overlay; do
+         test_wire test_tcp_parity test_overlay test_integration; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

@@ -211,7 +211,6 @@ void ContentStore::insert_mem_locked(const Digest& d, serial::Bytes raw) {
     mem_lru_.pop_back();
     mem_.erase(it);
     ++stats_.mem_evictions;
-    obs_.mem_evictions.inc();
   }
   mem_bytes_ += raw.size();
   mem_lru_.push_front(d);
@@ -253,7 +252,6 @@ void ContentStore::write_disk_locked(const Digest& d,
   disk_.emplace(d, DiskEntry{stored.size(), raw.size(), disk_lru_.begin()});
   disk_bytes_ += stored.size();
   stats_.bytes_stored_disk += stored.size();
-  obs_.bytes_stored_disk.inc(stored.size());
   obs_.disk_bytes.set(static_cast<double>(disk_bytes_));
   journal_locked("E " + hex + ' ' + std::to_string(stored.size()) + ' ' +
                  std::to_string(raw.size()));
@@ -268,7 +266,6 @@ void ContentStore::evict_disk_locked(Digest d) {
   disk_lru_.erase(it->second.lru_it);
   disk_.erase(it);
   ++stats_.disk_evictions;
-  obs_.disk_evictions.inc();
   obs_.disk_bytes.set(static_cast<double>(disk_bytes_));
   journal_locked("D " + d.hex());
 }
@@ -285,7 +282,6 @@ void ContentStore::drop_corrupt_locked(Digest d) {
     journal_locked("D " + d.hex());
   }
   ++stats_.corrupt_dropped;
-  obs_.corrupt_dropped.inc();
 }
 
 Digest ContentStore::put(std::span<const std::uint8_t> bytes) {
@@ -293,20 +289,17 @@ Digest ContentStore::put(std::span<const std::uint8_t> bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = mem_.find(d); it != mem_.end()) {
     ++stats_.dedup_hits;
-    obs_.dedup_hits.inc();
     touch_mem_locked(it->second, d);
     return d;
   }
   if (auto it = disk_.find(d); it != disk_.end()) {
     ++stats_.dedup_hits;
-    obs_.dedup_hits.inc();
     touch_disk_locked(it->second, d, /*journal=*/true);
     insert_mem_locked(d, serial::Bytes(bytes.begin(), bytes.end()));
     return d;
   }
   ++stats_.puts;
   stats_.bytes_stored_raw += bytes.size();
-  obs_.puts.inc();
   if (!cfg_.dir.empty()) write_disk_locked(d, bytes);
   insert_mem_locked(d, serial::Bytes(bytes.begin(), bytes.end()));
   return d;
@@ -316,7 +309,6 @@ std::optional<serial::Bytes> ContentStore::get(const Digest& d) {
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = mem_.find(d); it != mem_.end()) {
     ++stats_.mem_hits;
-    obs_.mem_hits.inc();
     touch_mem_locked(it->second, d);
     return it->second.raw;
   }
@@ -327,11 +319,9 @@ std::optional<serial::Bytes> ContentStore::get(const Digest& d) {
     if (!obj.good() && stored.empty() && it->second.stored_bytes != 0) {
       drop_corrupt_locked(d);  // file unreadable or vanished
       ++stats_.misses;
-      obs_.misses.inc();
       return std::nullopt;
     }
     stats_.bytes_read_disk += stored.size();
-    obs_.bytes_read_disk.inc(stored.size());
     serial::Bytes raw;
     try {
       raw = cfg_.compress ? decompress(stored) : std::move(stored);
@@ -341,17 +331,14 @@ std::optional<serial::Bytes> ContentStore::get(const Digest& d) {
     } catch (const serial::DecodeError&) {
       drop_corrupt_locked(d);
       ++stats_.misses;
-      obs_.misses.inc();
       return std::nullopt;
     }
     ++stats_.disk_hits;
-    obs_.disk_hits.inc();
     touch_disk_locked(it->second, d, /*journal=*/true);
     insert_mem_locked(d, raw);
     return raw;
   }
   ++stats_.misses;
-  obs_.misses.inc();
   return std::nullopt;
 }
 
@@ -417,21 +404,7 @@ CasStats ContentStore::stats() const {
 
 void ContentStore::set_obs(obs::Registry& registry, std::string_view scope) {
   std::lock_guard<std::mutex> lock(mu_);
-  obs_.mem_hits = registry.counter(obs::scoped(scope, "cas.mem_hits"));
-  obs_.disk_hits = registry.counter(obs::scoped(scope, "cas.disk_hits"));
-  obs_.misses = registry.counter(obs::scoped(scope, "cas.misses"));
-  obs_.puts = registry.counter(obs::scoped(scope, "cas.puts"));
-  obs_.dedup_hits = registry.counter(obs::scoped(scope, "cas.dedup_hits"));
-  obs_.mem_evictions =
-      registry.counter(obs::scoped(scope, "cas.mem_evictions"));
-  obs_.disk_evictions =
-      registry.counter(obs::scoped(scope, "cas.disk_evictions"));
-  obs_.corrupt_dropped =
-      registry.counter(obs::scoped(scope, "cas.corrupt_dropped"));
-  obs_.bytes_stored_disk =
-      registry.counter(obs::scoped(scope, "cas.bytes_stored_disk"));
-  obs_.bytes_read_disk =
-      registry.counter(obs::scoped(scope, "cas.bytes_read_disk"));
+  obs::bind_counters(registry, scope, "cas", stats_);
   obs_.mem_bytes = registry.gauge(obs::scoped(scope, "cas.mem_bytes"));
   obs_.disk_bytes = registry.gauge(obs::scoped(scope, "cas.disk_bytes"));
   obs_.mem_bytes.set(static_cast<double>(mem_bytes_));

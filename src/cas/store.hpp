@@ -60,17 +60,18 @@ struct CasConfig {
 };
 
 struct CasStats {
-  std::uint64_t mem_hits = 0;
-  std::uint64_t disk_hits = 0;       ///< read + promoted to memory
-  std::uint64_t misses = 0;
-  std::uint64_t puts = 0;            ///< new objects actually stored
-  std::uint64_t dedup_hits = 0;      ///< put() of already-present bytes
-  std::uint64_t mem_evictions = 0;
-  std::uint64_t disk_evictions = 0;
-  std::uint64_t corrupt_dropped = 0; ///< failed re-hash / decode on read
-  std::uint64_t bytes_stored_raw = 0;   ///< sum of put() object sizes
-  std::uint64_t bytes_stored_disk = 0;  ///< compressed bytes written
-  std::uint64_t bytes_read_disk = 0;    ///< compressed bytes read
+  CONGRID_COUNTERS(
+      mem_hits,
+      disk_hits,            ///< read + promoted to memory
+      misses,
+      puts,                 ///< new objects actually stored
+      dedup_hits,           ///< put() of already-present bytes
+      mem_evictions,
+      disk_evictions,
+      corrupt_dropped,      ///< failed re-hash / decode on read
+      bytes_stored_raw,     ///< sum of put() object sizes
+      bytes_stored_disk,    ///< compressed bytes written
+      bytes_read_disk)      ///< compressed bytes read
 };
 
 class ContentStore {
@@ -114,7 +115,7 @@ class ContentStore {
   const CasConfig& config() const { return cfg_; }
   CasStats stats() const;
 
-  /// Bind "<scope>.cas.*" counters and resident-bytes gauges.
+  /// Bind CasStats as "<scope>.cas.<field>" plus resident-bytes gauges.
   void set_obs(obs::Registry& registry, std::string_view scope = {});
 
  private:
@@ -128,9 +129,6 @@ class ContentStore {
     std::list<Digest>::iterator lru_it;
   };
   struct Obs {
-    obs::CounterRef mem_hits, disk_hits, misses, puts, dedup_hits,
-        mem_evictions, disk_evictions, corrupt_dropped, bytes_stored_disk,
-        bytes_read_disk;
     obs::GaugeRef mem_bytes, disk_bytes;
   };
 

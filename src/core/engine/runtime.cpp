@@ -110,6 +110,7 @@ void GraphRuntime::set_external_sender(SendUnit::Sender sender) {
 }
 
 void GraphRuntime::set_obs(obs::Registry& registry, const std::string& scope) {
+  obs::bind_counters(registry, scope, "runtime", stats_);
   wave_width_h_ = registry.histogram(
       obs::scoped(scope, "runtime.wave_width"),
       {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});

@@ -65,12 +65,13 @@ struct RuntimeOptions {
 };
 
 struct RuntimeStats {
-  std::uint64_t ticks = 0;
-  std::uint64_t firings = 0;
-  std::uint64_t items_routed = 0;
-  std::uint64_t external_sends = 0;
-  std::uint64_t external_deliveries = 0;
-  std::uint64_t bytes_sent_external = 0;
+  CONGRID_COUNTERS(
+      ticks,
+      firings,
+      items_routed,
+      external_sends,
+      external_deliveries,
+      bytes_sent_external)
 
   bool operator==(const RuntimeStats&) const = default;
 };
@@ -91,9 +92,9 @@ class GraphRuntime {
   /// calling tick()/run(), even in wave-parallel mode.
   void set_external_sender(SendUnit::Sender sender);
 
-  /// Bind the engine's instruments (wave-width and barrier-stall
-  /// histograms, per-tick parallelism gauge) into `registry` under
-  /// "<scope>.runtime.*".
+  /// Bind the engine's instruments (RuntimeStats, wave-width and
+  /// barrier-stall histograms, per-tick parallelism gauge) into `registry`
+  /// under "<scope>.runtime.*".
   void set_obs(obs::Registry& registry, const std::string& scope = "");
 
   /// Join a causal trace: every tick becomes a "runtime.tick" span on

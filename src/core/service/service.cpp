@@ -98,7 +98,6 @@ TrianaService::TrianaService(net::Transport& transport, net::Clock clock,
              serial::Bytes payload) {
         if (!bounce_labels_.contains(pipe)) return false;
         ++stats_.payloads_bounced;
-        obs_.payloads_bounced.inc();
         transport_.send(from, encode(BounceMsg{pipe, std::move(payload)}));
         return true;
       });
@@ -134,27 +133,7 @@ std::string TrianaService::fresh_job_id() {
 void TrianaService::set_obs(obs::Registry& registry, obs::Tracer* tracer,
                             std::string_view scope) {
   const std::string s = scope.empty() ? config_.peer_id : std::string(scope);
-  obs_.deploys_received =
-      registry.counter(obs::scoped(s, "service.deploys_received"));
-  obs_.duplicate_deploys =
-      registry.counter(obs::scoped(s, "service.duplicate_deploys"));
-  obs_.jobs_started =
-      registry.counter(obs::scoped(s, "service.jobs_started"));
-  obs_.jobs_failed = registry.counter(obs::scoped(s, "service.jobs_failed"));
-  obs_.jobs_cancelled =
-      registry.counter(obs::scoped(s, "service.jobs_cancelled"));
-  obs_.modules_fetched =
-      registry.counter(obs::scoped(s, "service.modules_fetched"));
-  obs_.modules_from_cas =
-      registry.counter(obs::scoped(s, "service.modules_from_cas"));
-  obs_.jobs_suspended =
-      registry.counter(obs::scoped(s, "service.jobs_suspended"));
-  obs_.jobs_fenced = registry.counter(obs::scoped(s, "service.jobs_fenced"));
-  obs_.promotions = registry.counter(obs::scoped(s, "service.promotions"));
-  obs_.payloads_bounced =
-      registry.counter(obs::scoped(s, "service.payloads_bounced"));
-  obs_.binds_retried =
-      registry.counter(obs::scoped(s, "service.binds_retried"));
+  obs::bind_counters(registry, s, "service", stats_);
   obs_.deploy_start_s =
       registry.histogram(obs::scoped(s, "service.deploy_start_s"));
   obs_.deploy_rtt_s =
@@ -164,8 +143,9 @@ void TrianaService::set_obs(obs::Registry& registry, obs::Tracer* tracer,
   obs_scope_ = s;
   transport_.set_obs(registry, tracer, s);
   module_cache_.set_obs(registry, s);
-  node_.set_obs(tracer, s);
-  code_.set_obs(tracer, s);
+  node_.set_obs(registry, tracer, s);
+  pipes_.set_obs(registry, s);
+  code_.set_obs(registry, tracer, s);
   // A store shared between peers keeps the scope of whichever service
   // bound it last; give each peer its own store when per-peer counters
   // matter (the benches do).
@@ -319,7 +299,6 @@ bool TrianaService::cancel_local(const std::string& job_id) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return false;
   ++stats_.jobs_cancelled;
-  obs_.jobs_cancelled.inc();
   finish_job(it->second, /*violated=*/false);
   teardown_job(it->second);
   jobs_.erase(it);
@@ -468,7 +447,6 @@ void TrianaService::send_ack(const net::Endpoint& to,
 
 void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
   ++stats_.deploys_received;
-  obs_.deploys_received.inc();
 
   // A worker that is not yet part of any run trace joins the deploy's:
   // its own discovery rounds, fetches and envelopes become children of the
@@ -483,13 +461,11 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
   // dropped -- the in-flight deploy acks when it settles.
   if (jobs_.contains(m.job_id)) {
     ++stats_.duplicate_deploys;
-    obs_.duplicate_deploys.inc();
     send_ack(from, m.job_id, true, "");
     return;
   }
   if (pending_.contains(m.job_id)) {
     ++stats_.duplicate_deploys;
-    obs_.duplicate_deploys.inc();
     return;
   }
 
@@ -500,7 +476,6 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
   } catch (const std::exception& e) {
     send_ack(from, m.job_id, false, std::string("bad graph: ") + e.what());
     ++stats_.jobs_failed;
-    obs_.jobs_failed.inc();
     return;
   }
 
@@ -545,7 +520,6 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
           try {
             module_cache_.insert(repo::decode_artifact(*bytes));
             ++stats_.modules_from_cas;
-            obs_.modules_from_cas.inc();
             obs_.tracer.event(config_.peer_id, "cas.hit", pending.msg.trace,
                               "module=" + type);
             continue;
@@ -563,7 +537,6 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
              "module not available and on-demand fetch is disabled: " +
                  missing.front());
     ++stats_.jobs_failed;
-    obs_.jobs_failed.inc();
     obs_.tracer.end_span(pending.span, config_.peer_id, "deploy",
                          "failed: fetch disabled");
     return;
@@ -601,7 +574,6 @@ void TrianaService::handle_deploy(const net::Endpoint& from, DeployMsg m) {
             p.error = "owner has no module '" + type + "'";
           } else {
             ++stats_.modules_fetched;
-            obs_.modules_fetched.inc();
             if (!module_cache_.insert(*a)) {
               p.failed = true;
               p.error = "module cache cannot hold '" + type + "'";
@@ -632,7 +604,6 @@ void TrianaService::maybe_start(const std::string& job_id) {
 void TrianaService::fail_deploy(PendingDeploy& pending,
                                 const std::string& error) {
   ++stats_.jobs_failed;
-  obs_.jobs_failed.inc();
   obs_.tracer.end_span(pending.span, config_.peer_id, "deploy",
                        "failed: " + error);
   send_ack(pending.reply_to, pending.msg.job_id, false, error);
@@ -716,7 +687,6 @@ std::optional<std::string> TrianaService::start_job(PendingDeploy pending) {
   if (stored.lease_s > 0.0) renew_lease(stored, stored.lease_s);
 
   ++stats_.jobs_started;
-  obs_.jobs_started.inc();
   obs_.deploy_start_s.observe(clock_() - pending.received_at);
   obs_.tracer.end_span(pending.span, config_.peer_id, "deploy", "started");
   send_ack(stored.reply_to, job_id, true, "");
@@ -761,7 +731,6 @@ void TrianaService::run_iterations(Job& job, std::uint64_t iterations) {
     if (job.error.empty()) job.error = e.what();
     if (!already_failed) {
       ++stats_.jobs_failed;
-      obs_.jobs_failed.inc();
     }
     finish_job(job, /*violated=*/true);
   }
@@ -781,7 +750,6 @@ void TrianaService::on_channel_send(const std::string& job_id,
     } catch (const sandbox::SandboxViolation&) {
       job.failed = true;
       ++stats_.jobs_failed;
-      obs_.jobs_failed.inc();
       finish_job(job, /*violated=*/true);
       // Rethrow so the engine run that produced this item stops too; the
       // caller (run_iterations or a pipe delivery) records the error.
@@ -827,7 +795,6 @@ void TrianaService::start_output_bind(const std::string& job_id,
       // recovery publishes a fresh advert the retry will find.
       if (attempts_left > 0 && !j.failed) {
         ++stats_.binds_retried;
-        obs_.binds_retried.inc();
         scheduler_(config_.bind_retry_s, [this, job_id, label, attempts_left,
                                           bspan] {
           auto it2 = jobs_.find(job_id);
@@ -850,7 +817,6 @@ void TrianaService::start_output_bind(const std::string& job_id,
       j.failed = true;
       j.error = "could not bind output channel '" + label + "'";
       ++stats_.jobs_failed;
-      obs_.jobs_failed.inc();
       obs_.tracer.end_span(bspan, config_.peer_id, "pipe.bind", "failed");
       finish_job(j, /*violated=*/false);
       return;
@@ -947,7 +913,6 @@ void TrianaService::suspend_job(Job& job) {
   // from a completed recovery halts it.
   job.suspended = true;
   ++stats_.jobs_suspended;
-  obs_.jobs_suspended.inc();
   obs_.tracer.event(config_.peer_id, "job.suspend", job.trace,
                     "job=" + job.job_id +
                         " epoch=" + std::to_string(job.epoch));
@@ -972,7 +937,6 @@ void TrianaService::fence_halt(const std::string& job_id) {
   if (it == jobs_.end()) return;
   Job& job = it->second;
   ++stats_.jobs_fenced;
-  obs_.jobs_fenced.inc();
   obs_.tracer.event(config_.peer_id, "job.fenced", job.trace,
                     "job=" + job.job_id +
                         " epoch=" + std::to_string(job.epoch));
@@ -1079,7 +1043,6 @@ void TrianaService::handle_promote(const net::Endpoint& from,
   if (job.standby) {
     job.standby = false;
     ++stats_.promotions;
-    obs_.promotions.inc();
     obs_.tracer.event(config_.peer_id, "job.promote", job.trace,
                       "job=" + job.job_id +
                           " epoch=" + std::to_string(job.epoch));

@@ -13,9 +13,8 @@
 //   * the *client* deploys fragments to other services and tracks acks;
 //   * the *command process server* answers status / checkpoint / cancel.
 //
-// The service is transport-agnostic (sim, inproc or tcp) and single-
-// threaded per peer: all handlers run on whatever thread polls the
-// transport.
+// The service is transport-agnostic (sim or tcp) and single-threaded per
+// peer: all handlers run on whatever thread polls the transport.
 #pragma once
 
 #include <map>
@@ -91,29 +90,31 @@ struct DeployOptions {
 };
 
 struct ServiceStats {
-  std::uint64_t deploys_received = 0;
-  std::uint64_t jobs_started = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_cancelled = 0;
-  std::uint64_t modules_fetched = 0;
-  /// Deploy-needed modules materialised from the content store (advertised
-  /// digest already present locally) instead of fetched from the owner.
-  std::uint64_t modules_from_cas = 0;
-  std::uint64_t pipe_items_in = 0;
-  std::uint64_t pipe_items_out = 0;
-  /// Deploys for a job this service already hosts (a retransmitted deploy
-  /// that slipped past the reliable layer's dedup window): re-acked, never
-  /// re-executed.
-  std::uint64_t duplicate_deploys = 0;
-  // -- lease / fencing / bounce (fenced recovery) ----------------------------
-  std::uint64_t jobs_suspended = 0;   ///< lease expiries (self-suspensions)
-  std::uint64_t jobs_resumed = 0;     ///< lease renewals after a suspension
-  std::uint64_t jobs_fenced = 0;      ///< stale jobs halted by fence/rebind
-  std::uint64_t promotions = 0;       ///< standby jobs promoted to live
-  std::uint64_t payloads_bounced = 0; ///< inbound payloads returned to sender
-  std::uint64_t binds_retried = 0;    ///< output binds re-issued (churn blips)
-  std::uint64_t bounces_resent = 0;   ///< returned payloads re-sent by us
-  std::uint64_t bounces_dropped = 0;  ///< returned payloads given up on
+  CONGRID_COUNTERS(
+      deploys_received,
+      jobs_started,
+      jobs_failed,
+      jobs_cancelled,
+      modules_fetched,
+      /// Deploy-needed modules materialised from the content store
+      /// (advertised digest already present locally) instead of fetched
+      /// from the owner.
+      modules_from_cas,
+      pipe_items_in,
+      pipe_items_out,
+      /// Deploys for a job this service already hosts (a retransmitted
+      /// deploy that slipped past the reliable layer's dedup window):
+      /// re-acked, never re-executed.
+      duplicate_deploys,
+      // -- lease / fencing / bounce (fenced recovery) -----------------------
+      jobs_suspended,       ///< lease expiries (self-suspensions)
+      jobs_resumed,         ///< lease renewals after a suspension
+      jobs_fenced,          ///< stale jobs halted by fence/rebind
+      promotions,           ///< standby jobs promoted to live
+      payloads_bounced,     ///< inbound payloads returned to sender
+      binds_retried,        ///< output binds re-issued (churn blips)
+      bounces_resent,       ///< returned payloads re-sent by us
+      bounces_dropped)      ///< returned payloads given up on
 };
 
 class TrianaService {
@@ -150,10 +151,11 @@ class TrianaService {
   net::ReliableTransport& reliable() { return transport_; }
   const net::ReliableTransport& reliable() const { return transport_; }
 
-  /// Bind this peer's metrics/tracing in one call: "service.*" counters,
-  /// deploy latency histograms, plus the underlying reliable transport's
-  /// and module cache's instruments, all scoped under `scope` (default:
-  /// this peer's id). Deploys become trace spans (received -> started /
+  /// Bind this peer's metrics/tracing in one call: ServiceStats as
+  /// "service.<field>", deploy latency histograms, plus the instruments of
+  /// the reliable transport, module cache, discovery node, pipes, code
+  /// exchange and content store, all scoped under `scope` (default: this
+  /// peer's id). Deploys become trace spans (received -> started /
   /// failed on the server; sent -> acked on the client).
   void set_obs(obs::Registry& registry, obs::Tracer* tracer = nullptr,
                std::string_view scope = {});
@@ -295,10 +297,6 @@ class TrianaService {
   };
 
   struct Obs {
-    obs::CounterRef deploys_received, duplicate_deploys, jobs_started,
-        jobs_failed, jobs_cancelled, modules_fetched, modules_from_cas;
-    obs::CounterRef jobs_suspended, jobs_fenced, promotions, payloads_bounced,
-        binds_retried;
     obs::HistogramRef deploy_start_s;  ///< server: received -> started
     obs::HistogramRef deploy_rtt_s;    ///< client: sent -> acked
     obs::TracerRef tracer;

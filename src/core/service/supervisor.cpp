@@ -45,7 +45,7 @@ RunSupervisor::RunSupervisor(TrianaController& controller,
   last_contact_.assign(n, 0.0);
   epochs_.assign(n, 0);
   standbys_.assign(n, Standby{});
-  FailureDetectorOptions d;
+  net::FailureDetectorOptions d;
   d.window = options_.detector_window;
   d.min_std_s = options_.detector_min_std_s;
   detectors_.reserve(n);
@@ -64,22 +64,7 @@ double RunSupervisor::phi_of(std::size_t idx) const {
 
 void RunSupervisor::set_obs(obs::Registry& registry, obs::Tracer* tracer,
                             std::string_view scope) {
-  obs_.checkpoints_taken =
-      registry.counter(obs::scoped(scope, "supervisor.checkpoints_taken"));
-  obs_.probes_sent =
-      registry.counter(obs::scoped(scope, "supervisor.probes_sent"));
-  obs_.probes_answered =
-      registry.counter(obs::scoped(scope, "supervisor.probes_answered"));
-  obs_.failures_detected =
-      registry.counter(obs::scoped(scope, "supervisor.failures_detected"));
-  obs_.recoveries =
-      registry.counter(obs::scoped(scope, "supervisor.recoveries"));
-  obs_.recoveries_failed =
-      registry.counter(obs::scoped(scope, "supervisor.recoveries_failed"));
-  obs_.fenced_msgs =
-      registry.counter(obs::scoped(scope, "supervisor.fenced_msgs"));
-  obs_.speculative_deploys =
-      registry.counter(obs::scoped(scope, "supervisor.speculative_deploys"));
+  obs::bind_counters(registry, scope, "supervisor", stats_);
   obs_.recovery_s =
       registry.histogram(obs::scoped(scope, "supervisor.recovery_s"));
   obs_.tracer = tracer;
@@ -156,7 +141,6 @@ void RunSupervisor::checkpoint_round() {
         [self, i](const CheckpointDataMsg& m) {
           if (self->stopped_ || !m.ok) return;
           ++self->stats_.checkpoints_taken;
-          self->obs_.checkpoints_taken.inc();
           self->store_.put(fragment_key(i), m.state,
                            self->controller_.home().now());
         });
@@ -188,7 +172,6 @@ void RunSupervisor::probe_round() {
 
     if (dead) {
       ++stats_.failures_detected;
-      obs_.failures_detected.inc();
       recover(i);
       continue;
     }
@@ -202,7 +185,6 @@ void RunSupervisor::probe_round() {
     }
 
     ++stats_.probes_sent;
-    obs_.probes_sent.inc();
     home().request_status(
         run_->workers[i], run_->remote_jobs[i],
         [self, i](const StatusMsg& m) {
@@ -216,7 +198,6 @@ void RunSupervisor::probe_round() {
           self->last_contact_[i] = t;
           self->missed_[i] = 0;
           ++self->stats_.probes_answered;
-          self->obs_.probes_answered.inc();
           // A suspended host answering at OUR epoch is a partition
           // survivor, not a zombie: explicitly resume it. The worker never
           // self-resumes off a probe, because a probe can be a stale
@@ -401,7 +382,6 @@ void RunSupervisor::complete_recovery(std::shared_ptr<Recovery> rec,
   last_contact_[idx] = now;
   recovering_[idx] = false;
   ++stats_.recoveries;
-  obs_.recoveries.inc();
   obs_.recovery_s.observe(now - rec->detected_at);
   obs_.tracer.end_span(rec->span, obs_.node, "supervisor.recover",
                        "recovered epoch=" + std::to_string(epoch));
@@ -410,7 +390,6 @@ void RunSupervisor::complete_recovery(std::shared_ptr<Recovery> rec,
 void RunSupervisor::fail_recovery(std::shared_ptr<Recovery> rec,
                                   const std::string& why) {
   ++stats_.recoveries_failed;
-  obs_.recoveries_failed.inc();
   // Degraded, not wedged: this fragment is lost for good, the rest of the
   // run keeps being supervised and nothing hangs waiting on it.
   degraded_[rec->idx] = true;
@@ -425,7 +404,6 @@ void RunSupervisor::broadcast_refence(std::size_t idx, std::uint64_t epoch,
   const auto send_fence_msg = [&](const net::Endpoint& to, serial::Frame f) {
     transport.send(to, std::move(f));
     ++stats_.fences_sent;
-    obs_.fenced_msgs.inc();
   };
 
   // Every sender into the moved fragment must re-resolve; with fencing on,
@@ -474,7 +452,6 @@ void RunSupervisor::deploy_standby(std::size_t idx) {
   serial::Bytes state;
   if (auto r = store_.get(fragment_key(idx))) state = r->state;
   ++stats_.speculative_deploys;
-  obs_.speculative_deploys.inc();
 
   DeployOptions opt;
   opt.epoch = sb.epoch;

@@ -9,7 +9,7 @@
 //     CheckpointStore (latest-wins);
 //   * every probe_period it sends a status probe to each fragment's host
 //     and scores the host's *suspicion* with a phi-accrual detector
-//     (failure_detector.hpp) fed by probe-reply inter-arrivals and by
+//     (net/failure_detector.hpp) fed by probe-reply inter-arrivals and by
 //     liveness piggybacked on ordinary data-plane traffic. phi >= phi_dead
 //     declares the host dead; until the detector has history, the legacy
 //     missed-probe count (max_missed) decides;
@@ -37,7 +37,7 @@
 
 #include "core/checkpoint/checkpoint.hpp"
 #include "core/service/controller.hpp"
-#include "core/service/failure_detector.hpp"
+#include "net/failure_detector.hpp"
 #include "obs/obs.hpp"
 
 namespace cg::core {
@@ -86,23 +86,23 @@ struct SupervisorOptions {
 };
 
 struct SupervisorStats {
-  std::uint64_t checkpoints_taken = 0;
-  std::uint64_t probes_sent = 0;
-  std::uint64_t probes_answered = 0;
-  std::uint64_t failures_detected = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t recoveries_failed = 0;  ///< out of spares / all nacked
-  /// Recoveries abandoned because the "dead" host showed life during the
-  /// lease wait (the next probe round sends it an explicit resume).
-  std::uint64_t recoveries_aborted = 0;
-  /// Explicit kResume msgs sent to suspended-but-current hosts.
-  std::uint64_t resumes_sent = 0;
-  std::uint64_t redeploys_nacked = 0;     ///< spare refused; returned to pool
-  std::uint64_t redeploys_timed_out = 0;  ///< spare silent; dropped
-  std::uint64_t fences_sent = 0;          ///< fence/rebind msgs broadcast
-  std::uint64_t speculative_deploys = 0;
-  std::uint64_t speculative_promoted = 0;
-  std::uint64_t speculative_cancelled = 0;
+  CONGRID_COUNTERS(
+      checkpoints_taken,
+      probes_sent,
+      probes_answered,
+      failures_detected,
+      recoveries,
+      recoveries_failed,      ///< out of spares / all nacked
+      /// Recoveries abandoned because the "dead" host showed life during
+      /// the lease wait (the next probe round sends it an explicit resume).
+      recoveries_aborted,
+      resumes_sent,           ///< explicit kResume msgs to suspended hosts
+      redeploys_nacked,       ///< spare refused; returned to pool
+      redeploys_timed_out,    ///< spare silent; dropped
+      fences_sent,            ///< fence/rebind msgs broadcast
+      speculative_deploys,
+      speculative_promoted,
+      speculative_cancelled)
 };
 
 class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
@@ -114,7 +114,8 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
                 std::vector<net::Endpoint> spares,
                 SupervisorOptions options = {});
 
-  /// Bind metrics/tracing: "<scope>.supervisor.*" counters, a per-host
+  /// Bind metrics/tracing: SupervisorStats as
+  /// "<scope>.supervisor.<field>", a per-host
   /// "supervisor.phi.<endpoint>" suspicion gauge, plus a failure-detection
   /// -> recovery-complete latency histogram; each recovery is a trace span
   /// tagged with the fragment's new epoch. Call before start().
@@ -167,9 +168,6 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
   };
 
   struct Obs {
-    obs::CounterRef checkpoints_taken, probes_sent, probes_answered,
-        failures_detected, recoveries, recoveries_failed, fenced_msgs,
-        speculative_deploys;
     obs::HistogramRef recovery_s;  ///< detection -> recovery ack
     obs::TracerRef tracer;
     std::string node;
@@ -210,7 +208,7 @@ class RunSupervisor : public std::enable_shared_from_this<RunSupervisor> {
   std::vector<int> missed_;       ///< consecutive unanswered probes (bootstrap)
   std::vector<bool> recovering_;  ///< guards double recovery per fragment
   std::vector<bool> degraded_;    ///< lost for good; stop probing
-  std::vector<PhiAccrualDetector> detectors_;
+  std::vector<net::PhiAccrualDetector> detectors_;
   std::vector<double> last_contact_;  ///< last evidence of life per fragment
   std::vector<std::uint64_t> epochs_; ///< active fencing epoch per fragment
   std::vector<Standby> standbys_;

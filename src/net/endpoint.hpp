@@ -3,7 +3,6 @@
 // An Endpoint names a place a Frame can be sent. The scheme prefix selects
 // the transport family:
 //   sim:<node-id>       deterministic simulated network node
-//   inproc:<name>       in-process hub registration
 //   tcp:<host>:<port>   real socket listener
 // Endpoints are plain value types; the transport that created them knows how
 // to interpret the rest of the string.
@@ -24,10 +23,6 @@ struct Endpoint {
 
 inline Endpoint sim_endpoint(std::uint32_t node_id) {
   return Endpoint{"sim:" + std::to_string(node_id)};
-}
-
-inline Endpoint inproc_endpoint(const std::string& name) {
-  return Endpoint{"inproc:" + name};
 }
 
 inline Endpoint tcp_endpoint(const std::string& host, std::uint16_t port) {

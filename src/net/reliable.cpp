@@ -51,23 +51,7 @@ ReliableTransport::ReliableTransport(Transport& inner, Clock clock,
 
 void ReliableTransport::set_obs(obs::Registry& registry, obs::Tracer* tracer,
                                 std::string_view scope) {
-  obs_.sent = registry.counter(obs::scoped(scope, "reliable.sent"));
-  obs_.retransmits =
-      registry.counter(obs::scoped(scope, "reliable.retransmits"));
-  obs_.acked = registry.counter(obs::scoped(scope, "reliable.acked"));
-  obs_.expired = registry.counter(obs::scoped(scope, "reliable.expired"));
-  obs_.delivered = registry.counter(obs::scoped(scope, "reliable.delivered"));
-  obs_.dedup_hits =
-      registry.counter(obs::scoped(scope, "reliable.dedup_hits"));
-  obs_.acks_sent = registry.counter(obs::scoped(scope, "reliable.acks_sent"));
-  obs_.passthrough_sent =
-      registry.counter(obs::scoped(scope, "reliable.passthrough_sent"));
-  obs_.passthrough_delivered =
-      registry.counter(obs::scoped(scope, "reliable.passthrough_delivered"));
-  obs_.batches_sent =
-      registry.counter(obs::scoped(scope, "reliable.batches_sent"));
-  obs_.frames_coalesced =
-      registry.counter(obs::scoped(scope, "reliable.frames_coalesced"));
+  obs::bind_counters(registry, scope, "reliable", stats_);
   obs_.ack_latency_s =
       registry.histogram(obs::scoped(scope, "reliable.ack_latency_s"));
   obs_.backoff_wait_s =
@@ -149,8 +133,6 @@ void ReliableTransport::flush_dest(const Endpoint& to) {
   }
   ++stats_.batches_sent;
   stats_.frames_coalesced += frames.size();
-  obs_.batches_sent.inc();
-  obs_.frames_coalesced.inc(frames.size());
   inner_.send(to, serial::encode_batch(frames));
 }
 
@@ -166,7 +148,6 @@ void ReliableTransport::flush() {
 void ReliableTransport::send(const Endpoint& to, serial::Frame frame) {
   if (!is_reliable_type(frame.type)) {
     ++stats_.passthrough_sent;
-    obs_.passthrough_sent.inc();
     wire_send(to, std::move(frame));
     return;
   }
@@ -192,7 +173,6 @@ void ReliableTransport::send(const Endpoint& to, serial::Frame frame) {
 
   wire_send(to, p.wire);
   ++stats_.sent;
-  obs_.sent.inc();
   const double first_retry = jittered(p.rto_s);
   pending_.emplace(id, std::move(p));
   schedule_retry(id, first_retry);
@@ -212,7 +192,6 @@ void ReliableTransport::on_retry_timer(std::uint64_t id) {
       clock_() - p.first_sent_at >= config_.deadline_s;
   if (over_deadline || p.retries >= config_.max_retries) {
     ++stats_.expired;
-    obs_.expired.inc();
     obs_.tracer.end_span(p.span, obs_.node, "reliable.msg", "expired");
     // Move out before erasing: the drop handler may send (and re-enter).
     Endpoint to = std::move(p.to);
@@ -224,7 +203,6 @@ void ReliableTransport::on_retry_timer(std::uint64_t id) {
 
   ++p.retries;
   ++stats_.retransmits;
-  obs_.retransmits.inc();
   if (obs_.tracer) {
     obs_.tracer.event(obs_.node, "reliable.retx",
                       obs::TraceContext{trace_id_, p.span, lamport_.now()},
@@ -264,7 +242,6 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
     }
     if (auto it = pending_.find(id); it != pending_.end()) {
       ++stats_.acked;
-      obs_.acked.inc();
       obs_.ack_latency_s.observe(clock_() - it->second.first_sent_at);
       obs_.tracer.end_span(it->second.span, obs_.node, "reliable.msg",
                            "acked retx=" +
@@ -276,7 +253,6 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
 
   if (frame.type != serial::FrameType::kReliable) {
     ++stats_.passthrough_delivered;
-    obs_.passthrough_delivered.inc();
     if (handler_) handler_(from, std::move(frame));
     return;
   }
@@ -306,12 +282,10 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
   // (or the message itself) was lost.
   wire_send(from, serial::encode_ack(env.msg_id));
   ++stats_.acks_sent;
-  obs_.acks_sent.inc();
 
   SeenWindow& win = seen_[from.value];
   if (win.ids.contains(env.msg_id)) {
-    ++stats_.duplicates_suppressed;
-    obs_.dedup_hits.inc();
+    ++stats_.dedup_hits;
     return;
   }
   win.ids.insert(env.msg_id);
@@ -322,7 +296,6 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
   }
 
   ++stats_.delivered;
-  obs_.delivered.inc();
   if (obs_.tracer) {
     // The recv half of the transfer pair: same conn/seq spelling as the
     // sender's reliable.msg span, parented to the sending span via the

@@ -75,20 +75,21 @@ struct ReliableConfig {
 /// Counters for the supervisor, benches and chaos tests. Deterministic for
 /// a given seed + FaultPlan, so two identical runs must compare equal.
 struct ReliableStats {
-  std::uint64_t sent = 0;           ///< reliable messages originated
-  std::uint64_t retransmits = 0;    ///< extra copies sent
-  std::uint64_t acked = 0;          ///< confirmed by the receiver
-  std::uint64_t expired = 0;        ///< gave up (deadline/retry budget)
-  std::uint64_t delivered = 0;      ///< unique reliable frames passed up
-  std::uint64_t duplicates_suppressed = 0;  ///< retransmitted copies eaten
-  std::uint64_t acks_sent = 0;
-  std::uint64_t passthrough_sent = 0;       ///< frames outside the policy
-  std::uint64_t passthrough_delivered = 0;
-  std::uint64_t batches_sent = 0;           ///< kBatch frames put on the wire
-  std::uint64_t frames_coalesced = 0;       ///< frames that rode in a batch
-  std::uint64_t batch_bypassed = 0;         ///< oversized frames sent alone
-  std::uint64_t batches_received = 0;       ///< kBatch frames unpacked
-  std::uint64_t malformed_dropped = 0;      ///< undecodable frames discarded
+  CONGRID_COUNTERS(
+      sent,                   ///< reliable messages originated
+      retransmits,            ///< extra copies sent
+      acked,                  ///< confirmed by the receiver
+      expired,                ///< gave up (deadline/retry budget)
+      delivered,              ///< unique reliable frames passed up
+      dedup_hits,             ///< retransmitted copies eaten
+      acks_sent,
+      passthrough_sent,       ///< frames outside the policy
+      passthrough_delivered,
+      batches_sent,           ///< kBatch frames put on the wire
+      frames_coalesced,       ///< frames that rode in a batch
+      batch_bypassed,         ///< oversized frames sent alone
+      batches_received,       ///< kBatch frames unpacked
+      malformed_dropped)      ///< undecodable frames discarded
 
   bool operator==(const ReliableStats&) const = default;
 };
@@ -133,10 +134,10 @@ class ReliableTransport final : public Transport {
     on_activity_ = std::move(l);
   }
 
-  /// Bind metrics/tracing: "<scope>.reliable.*" counters, ack-latency and
-  /// backoff-wait histograms, plus a trace span per reliable message
-  /// (begin at first send, end at ack or expiry). `scope` doubles as the
-  /// tracer's node id -- pass the peer id.
+  /// Bind metrics/tracing: ReliableStats as "<scope>.reliable.<field>",
+  /// ack-latency and backoff-wait histograms, plus a trace span per
+  /// reliable message (begin at first send, end at ack or expiry). `scope`
+  /// doubles as the tracer's node id -- pass the peer id.
   void set_obs(obs::Registry& registry, obs::Tracer* tracer = nullptr,
                std::string_view scope = {});
 
@@ -173,9 +174,6 @@ class ReliableTransport final : public Transport {
   };
 
   struct Obs {
-    obs::CounterRef sent, retransmits, acked, expired, delivered, dedup_hits,
-        acks_sent, passthrough_sent, passthrough_delivered, batches_sent,
-        frames_coalesced;
     obs::HistogramRef ack_latency_s, backoff_wait_s;
     obs::TracerRef tracer;
     std::string node;  ///< tracer scope

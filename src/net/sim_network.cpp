@@ -28,7 +28,7 @@ SimTransport& SimNetwork::add_node() {
 
 void SimNetwork::set_up(std::uint32_t id, bool up) {
   if (up_.at(id) != up) {
-    (up ? obs_.node_up : obs_.node_down).inc();
+    ++(up ? stats_.node_up : stats_.node_down);
     if (obs_.tracer) {
       obs_.tracer.event("sim:" + std::to_string(id),
                         up ? "net.node_up" : "net.node_down",
@@ -40,20 +40,7 @@ void SimNetwork::set_up(std::uint32_t id, bool up) {
 
 void SimNetwork::set_obs(obs::Registry& registry, obs::Tracer* tracer,
                          std::string_view scope) {
-  obs_.frames_sent = registry.counter(obs::scoped(scope, "net.frames_sent"));
-  obs_.frames_delivered =
-      registry.counter(obs::scoped(scope, "net.frames_delivered"));
-  obs_.frames_dropped =
-      registry.counter(obs::scoped(scope, "net.frames_dropped"));
-  obs_.frames_to_down =
-      registry.counter(obs::scoped(scope, "net.frames_to_down_node"));
-  obs_.frames_duplicated =
-      registry.counter(obs::scoped(scope, "net.frames_duplicated"));
-  obs_.frames_corrupt_rejected =
-      registry.counter(obs::scoped(scope, "net.frames_corrupt_rejected"));
-  obs_.bytes_sent = registry.counter(obs::scoped(scope, "net.bytes_sent"));
-  obs_.node_up = registry.counter(obs::scoped(scope, "net.node_up"));
-  obs_.node_down = registry.counter(obs::scoped(scope, "net.node_down"));
+  obs::bind_counters(registry, scope, "net", stats_);
   obs_.link_delay_s =
       registry.histogram(obs::scoped(scope, "net.link_delay_s"));
   obs_.tracer = tracer;
@@ -83,23 +70,19 @@ void SimNetwork::submit(std::uint32_t from, const Endpoint& to,
   }
 
   ++stats_.messages_sent;
-  obs_.frames_sent.inc();
   const std::size_t wire_bytes = serial::kFrameHeaderSize +
                                  frame.payload.size() +
                                  serial::kFrameTrailerSize;
   stats_.bytes_sent += wire_bytes;
-  obs_.bytes_sent.inc(wire_bytes);
 
   // A sender that is itself down cannot transmit.
   if (!up_.at(from)) {
     ++stats_.messages_to_down_node;
-    obs_.frames_to_down.inc();
     return;
   }
 
   if (params_.loss_probability > 0.0 && rng_.chance(params_.loss_probability)) {
     ++stats_.messages_dropped;
-    obs_.frames_dropped.inc();
     return;
   }
 
@@ -118,7 +101,6 @@ void SimNetwork::submit(std::uint32_t from, const Endpoint& to,
     action = fault_fn_(from, dst, frame);
     if (action.drop) {
       ++stats_.messages_dropped;
-      obs_.frames_dropped.inc();
       return;
     }
     if (action.corrupt && !frame.payload.empty()) {
@@ -131,7 +113,6 @@ void SimNetwork::submit(std::uint32_t from, const Endpoint& to,
   for (int copy = 0; copy < 1 + action.duplicates; ++copy) {
     if (copy > 0) {
       ++stats_.messages_duplicated;
-      obs_.frames_duplicated.inc();
     }
     deliver_copy(from, dst, frame, action.extra_delay_s, sent_crc,
                  verify_crc);
@@ -158,12 +139,10 @@ void SimNetwork::deliver_copy(std::uint32_t from, std::uint32_t dst,
               f = std::move(frame)]() mutable {
                if (!up_.at(dst)) {
                  ++stats_.messages_to_down_node;
-                 obs_.frames_to_down.inc();
                  return;
                }
                if (verify_crc && serial::crc32(f.payload) != sent_crc) {
                  ++stats_.messages_corrupt_rejected;
-                 obs_.frames_corrupt_rejected.inc();
                  if (obs_.tracer) {
                    obs_.tracer.event("sim:" + std::to_string(dst),
                                      "net.corrupt_reject",
@@ -172,7 +151,6 @@ void SimNetwork::deliver_copy(std::uint32_t from, std::uint32_t dst,
                  return;
                }
                ++stats_.messages_delivered;
-               obs_.frames_delivered.inc();
                // Wire-level clock merge: envelopes carry the sender's
                // Lamport stamp; merging here orders this node's network
                // events after the send even when the layers above never

@@ -41,18 +41,21 @@ struct LinkParams {
   std::size_t small_frame_bytes = 1200;
 };
 
-/// Aggregate traffic counters, readable at any time.
+/// Aggregate traffic counters, readable at any time; bound as "net.*".
 struct SimStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;     ///< loss model + injected drops
-  std::uint64_t messages_to_down_node = 0;
-  std::uint64_t messages_duplicated = 0;  ///< extra copies from fault hook
-  /// Frames whose payload CRC no longer matched at delivery (bit corruption
-  /// in flight): rejected like a real NIC discards a bad-FCS frame, never
-  /// handed to the application.
-  std::uint64_t messages_corrupt_rejected = 0;
-  std::uint64_t bytes_sent = 0;
+  CONGRID_COUNTERS(
+      messages_sent,
+      messages_delivered,
+      messages_dropped,           ///< loss model + injected drops
+      messages_to_down_node,
+      messages_duplicated,        ///< extra copies from fault hook
+      /// Frames whose payload CRC no longer matched at delivery (bit
+      /// corruption in flight): rejected like a real NIC discards a
+      /// bad-FCS frame, never handed to the application.
+      messages_corrupt_rejected,
+      bytes_sent,
+      node_up,                    ///< set_up() transitions down -> up
+      node_down)                  ///< set_up() transitions up -> down
 
   bool operator==(const SimStats&) const = default;
 };
@@ -149,8 +152,8 @@ class SimNetwork {
       std::uint32_t from, std::uint32_t to, const serial::Frame& frame)>;
   void set_fault_fn(FaultFn fn) { fault_fn_ = std::move(fn); }
 
-  /// Bind metrics/tracing (obs/obs.hpp). Counters land under
-  /// "<scope>.net.*" plus a "net.link_delay_s" latency histogram; node
+  /// Bind metrics/tracing (obs/obs.hpp). SimStats land under
+  /// "<scope>.net.<field>" plus a "net.link_delay_s" latency histogram; node
   /// up/down transitions become per-node trace events. When a tracer is
   /// given its clock is pointed at this simulator's virtual time, so every
   /// event in the run is stamped in sim seconds.
@@ -189,9 +192,6 @@ class SimNetwork {
                     bool verify_crc);
 
   struct Obs {
-    obs::CounterRef frames_sent, frames_delivered, frames_dropped,
-        frames_to_down, frames_duplicated, frames_corrupt_rejected,
-        bytes_sent, node_up, node_down;
     obs::HistogramRef link_delay_s;
     obs::TracerRef tracer;
   };

@@ -14,9 +14,10 @@
 //     gates on.
 //
 // Compiled-out mode: configuring with -DCONGRID_OBS=OFF defines
-// CONGRID_OBS_ENABLED=0 and every method below becomes an empty inline --
-// call sites stay, costs vanish, and snapshots are empty but still valid
-// JSON. Code must therefore never branch on metric values for behaviour.
+// CONGRID_OBS_ENABLED=0 and every instrument method below becomes an empty
+// inline -- call sites stay, costs vanish, and snapshots are empty but still
+// valid JSON (an obs::Count keeps counting; only its registry feed goes).
+// Code must therefore never branch on registry values for behaviour.
 #pragma once
 
 #include <atomic>
@@ -142,6 +143,46 @@ class CounterRef {
 #endif
 };
 
+/// One counted fact: the value its owner reads back through stats(), plus
+/// the registry counter it feeds once bound. `++` and `+=` bump both, so a
+/// component counts each event exactly once and /metrics can never drift
+/// from its stats. The binding is the cell's identity, not its value:
+/// copies carry the value only (a copied stats struct is a detached
+/// snapshot) and assignment keeps the target's binding (resetting stats
+/// never unbinds them). `==` compares values, so stats structs keep
+/// bit-for-bit operator== oracles. Not atomic: a cell is bumped only on
+/// its owner's thread. Exactly one uint64_t under -DCONGRID_OBS=OFF.
+class Count {
+ public:
+  Count() = default;
+  Count(const Count& o) noexcept : v_(o.v_) {}
+  Count& operator=(const Count& o) noexcept {
+    v_ = o.v_;
+    return *this;
+  }
+
+  Count& operator++() noexcept {
+    ++v_;
+    ref_.inc();
+    return *this;
+  }
+  Count& operator+=(std::uint64_t n) noexcept {
+    v_ += n;
+    ref_.inc(n);
+    return *this;
+  }
+  /*implicit*/ operator std::uint64_t() const noexcept { return v_; }
+  bool operator==(const Count& o) const noexcept { return v_ == o.v_; }
+
+  /// Feed `c` from now on (earlier counts stay local). Components sharing
+  /// a name aggregate into the one registry counter.
+  void bind(Counter& c) noexcept { ref_ = c; }
+
+ private:
+  std::uint64_t v_ = 0;
+  [[no_unique_address]] CounterRef ref_;
+};
+
 class GaugeRef {
  public:
   GaugeRef() = default;
@@ -233,4 +274,50 @@ class Registry {
 /// scoping: services pass their peer id, benches a sweep-point label.
 std::string scoped(std::string_view scope, std::string_view name);
 
+/// Register every counter of `stats` -- a struct declared with
+/// CONGRID_COUNTERS -- as "<scope>.<prefix>.<field>". The one bind call a
+/// component's set_obs() makes for its stats.
+template <class Stats>
+void bind_counters(Registry& registry, std::string_view scope,
+                   std::string_view prefix, Stats& stats) {
+  const std::string base = scoped(scope, prefix) + '.';
+  stats.for_each_counter([&](std::string_view field, Count& c) {
+    c.bind(registry.counter(base + std::string(field)));
+  });
+}
+
 }  // namespace cg::obs
+
+// CONGRID_COUNTERS(a, b, ...) inside a struct declares one obs::Count field
+// per name plus for_each_counter(fn), which calls fn("a", a), fn("b", b),
+// ... in declaration order. The list is the single declaration of a
+// struct's counted facts: bind_counters() and the export-completeness test
+// both walk it. One name per line; comments after the commas are fine.
+#define CONGRID_COUNTERS(...)                                  \
+  CG_OBS_FOR_EACH_(CG_OBS_DECLARE_, __VA_ARGS__)               \
+  template <class Fn>                                          \
+  void for_each_counter(Fn&& fn) {                             \
+    CG_OBS_FOR_EACH_(CG_OBS_VISIT_, __VA_ARGS__)               \
+  }                                                            \
+  template <class Fn>                                          \
+  void for_each_counter(Fn&& fn) const {                       \
+    CG_OBS_FOR_EACH_(CG_OBS_VISIT_, __VA_ARGS__)               \
+  }
+
+#define CG_OBS_DECLARE_(field) ::cg::obs::Count field;
+#define CG_OBS_VISIT_(field) fn(#field, field);
+// Preprocessor for-each (C++20 __VA_OPT__); the rescans cover at least 64
+// names per list.
+#define CG_OBS_FOR_EACH_(m, ...) \
+  __VA_OPT__(CG_OBS_EXPAND3_(CG_OBS_STEP_(m, __VA_ARGS__)))
+#define CG_OBS_STEP_(m, field, ...) \
+  m(field) __VA_OPT__(CG_OBS_AGAIN_ CG_OBS_PARENS_(m, __VA_ARGS__))
+#define CG_OBS_AGAIN_() CG_OBS_STEP_
+#define CG_OBS_PARENS_ ()
+#define CG_OBS_EXPAND3_(...) \
+  CG_OBS_EXPAND2_(CG_OBS_EXPAND2_(CG_OBS_EXPAND2_(CG_OBS_EXPAND2_(__VA_ARGS__))))
+#define CG_OBS_EXPAND2_(...) \
+  CG_OBS_EXPAND1_(CG_OBS_EXPAND1_(CG_OBS_EXPAND1_(CG_OBS_EXPAND1_(__VA_ARGS__))))
+#define CG_OBS_EXPAND1_(...) \
+  CG_OBS_EXPAND0_(CG_OBS_EXPAND0_(CG_OBS_EXPAND0_(CG_OBS_EXPAND0_(__VA_ARGS__))))
+#define CG_OBS_EXPAND0_(...) __VA_ARGS__

@@ -33,14 +33,7 @@ void OverlayNode::set_obs(obs::Registry& registry, obs::Tracer* tracer,
                           std::string_view scope) {
   tracer_ = tracer;
   trace_node_ = node_.id();
-  lookups_c_ = registry.counter(obs::scoped(scope, "overlay.lookups"));
-  lookup_rpcs_c_ = registry.counter(obs::scoped(scope, "overlay.lookup_rpcs"));
-  find_rpcs_c_ = registry.counter(obs::scoped(scope, "overlay.find_rpcs"));
-  publish_rpcs_c_ =
-      registry.counter(obs::scoped(scope, "overlay.publish_rpcs"));
-  timeouts_c_ = registry.counter(obs::scoped(scope, "overlay.rpc_timeouts"));
-  shard_failures_c_ =
-      registry.counter(obs::scoped(scope, "overlay.shard_failures"));
+  obs::bind_counters(registry, scope, "overlay", stats_);
 }
 
 obs::TraceContext OverlayNode::rpc_context(std::uint64_t span) const {
@@ -190,7 +183,6 @@ void OverlayNode::add_to_shortlist(Lookup& l, const Contact& c) {
 void OverlayNode::lookup(NodeId target, LookupHandler on) {
   ensure_seeded();
   ++stats_.lookups;
-  lookups_c_.inc();
   const std::uint64_t lookup_id = next_id_++;
   Lookup l;
   l.target = target;
@@ -224,7 +216,6 @@ void OverlayNode::send_find_node(std::uint64_t lookup_id, Lookup& l,
   l.queried.insert(c.id.bits);
   ++l.pending;
   ++stats_.lookup_rpcs;
-  lookup_rpcs_c_.inc();
   node_.transport().send(c.endpoint, encode(m));
   scheduler_(config_.rpc_timeout_s, [this, rpc_id] {
     auto it = find_node_rpcs_.find(rpc_id);
@@ -232,7 +223,6 @@ void OverlayNode::send_find_node(std::uint64_t lookup_id, Lookup& l,
     const FindNodeRpc rpc = it->second;
     find_node_rpcs_.erase(it);
     ++stats_.rpc_timeouts;
-    timeouts_c_.inc();
     routing_.failure(rpc.contact.id, node_.now());
     auto lit = lookups_.find(rpc.lookup_id);
     if (lit == lookups_.end()) return;
@@ -340,7 +330,6 @@ void OverlayNode::publish(const std::vector<Advertisement>& adverts,
         node_.transport().send(r.endpoint, encode(m));
         ++state->puts;
         ++stats_.publish_rpcs;
-        publish_rpcs_c_.inc();
       }
       if (--state->outstanding == 0 && state->on) state->on(state->puts);
     });
@@ -367,7 +356,6 @@ void OverlayNode::find(const Query& q, std::size_t limit, FindHandler on) {
     replicas_for(s, [this, find_id, s](std::vector<Contact> rs) {
       if (rs.empty()) {
         ++stats_.shard_failures;
-        shard_failures_c_.inc();
         shard_done(find_id);
         return;
       }
@@ -400,7 +388,6 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
     } else {
       replica_cache_.erase(shard);
       ++stats_.shard_failures;
-      shard_failures_c_.inc();
       shard_done(find_id);
     }
     return;
@@ -417,7 +404,6 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
   const Contact target = replicas[attempt];
   index_rpcs_[rpc_id] = IndexRpc{find_id, shard, attempt, replicas};
   ++stats_.find_rpcs;
-  find_rpcs_c_.inc();
   node_.transport().send(target.endpoint, encode(m));
   scheduler_(config_.rpc_timeout_s, [this, rpc_id] {
     auto it = index_rpcs_.find(rpc_id);
@@ -425,7 +411,6 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
     IndexRpc rpc = std::move(it->second);
     index_rpcs_.erase(it);
     ++stats_.rpc_timeouts;
-    timeouts_c_.inc();
     routing_.failure(rpc.replicas[rpc.attempt].id, node_.now());
     if (rpc.attempt + 1 < rpc.replicas.size()) {
       send_index_query(rpc.find_id, rpc.shard, rpc.attempt + 1,
@@ -436,7 +421,6 @@ void OverlayNode::send_index_query(std::uint64_t find_id, std::uint32_t shard,
     // stale; forget it so the next query re-looks-up the ring.
     replica_cache_.erase(rpc.shard);
     ++stats_.shard_failures;
-    shard_failures_c_.inc();
     shard_done(rpc.find_id);
   });
 }

@@ -63,17 +63,18 @@ struct OverlayConfig {
 };
 
 struct OverlayStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t lookup_rpcs = 0;     ///< FIND_NODE sent
-  std::uint64_t finds = 0;
-  std::uint64_t find_rpcs = 0;       ///< INDEX_QUERY sent
-  std::uint64_t publishes = 0;       ///< adverts published
-  std::uint64_t publish_rpcs = 0;    ///< INDEX_PUT sent
-  std::uint64_t rpc_timeouts = 0;
-  std::uint64_t shard_failures = 0;  ///< shards that ran out of replicas
-  std::uint64_t find_nodes_served = 0;
-  std::uint64_t index_queries_served = 0;
-  std::uint64_t index_puts_received = 0;
+  CONGRID_COUNTERS(
+      lookups,
+      lookup_rpcs,          ///< FIND_NODE sent
+      finds,
+      find_rpcs,            ///< INDEX_QUERY sent
+      publishes,            ///< adverts published
+      publish_rpcs,         ///< INDEX_PUT sent
+      rpc_timeouts,
+      shard_failures,       ///< shards that ran out of replicas
+      find_nodes_served,
+      index_queries_served,
+      index_puts_received)
 };
 
 class OverlayNode {
@@ -136,7 +137,7 @@ class OverlayNode {
   std::size_t maintain(double now, std::uint64_t seed = 1);
 
   // -- observability -----------------------------------------------------
-  /// Bind counters under "<scope>.overlay.*" and a tracer for
+  /// Bind OverlayStats as "<scope>.overlay.<field>" and a tracer for
   /// lookup / find spans (stamped with the node's causal context).
   void set_obs(obs::Registry& registry, obs::Tracer* tracer = nullptr,
                std::string_view scope = {});
@@ -215,8 +216,6 @@ class OverlayNode {
   OverlayStats stats_;
   obs::TracerRef tracer_;
   std::string trace_node_;
-  obs::CounterRef lookups_c_, lookup_rpcs_c_, find_rpcs_c_, publish_rpcs_c_,
-      timeouts_c_, shard_failures_c_;
 };
 
 }  // namespace cg::p2p

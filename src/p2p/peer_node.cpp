@@ -79,9 +79,11 @@ void PeerNode::publish_local(const Advertisement& a) {
   cache_.put(a, clock_());
 }
 
-void PeerNode::set_obs(obs::Tracer* tracer, std::string_view node) {
+void PeerNode::set_obs(obs::Registry& registry, obs::Tracer* tracer,
+                       std::string_view node) {
   tracer_ = tracer;
   trace_node_ = node.empty() ? config_.peer_id : std::string(node);
+  obs::bind_counters(registry, trace_node_, "discovery", stats_);
 }
 
 void PeerNode::publish_to(const net::Endpoint& target,

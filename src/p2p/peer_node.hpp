@@ -28,6 +28,7 @@
 
 #include "net/time.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "p2p/cache.hpp"
 #include "p2p/messages.hpp"
@@ -52,15 +53,16 @@ struct PeerConfig {
 };
 
 struct PeerNodeStats {
-  std::uint64_t queries_initiated = 0;
-  std::uint64_t queries_received = 0;   ///< excluding duplicates
-  std::uint64_t duplicate_queries = 0;
-  std::uint64_t widened_queries = 0;    ///< re-seen with a larger TTL
-  std::uint64_t queries_forwarded = 0;  ///< messages sent onward
-  std::uint64_t responses_sent = 0;
-  std::uint64_t responses_received = 0;
-  std::uint64_t adverts_published = 0;
-  std::uint64_t publishes_received = 0;
+  CONGRID_COUNTERS(
+      queries_initiated,
+      queries_received,     ///< excluding duplicates
+      duplicate_queries,
+      widened_queries,      ///< re-seen with a larger TTL
+      queries_forwarded,    ///< messages sent onward
+      responses_sent,
+      responses_received,
+      adverts_published,
+      publishes_received)
 };
 
 class PeerNode {
@@ -167,10 +169,12 @@ class PeerNode {
   }
 
   // -- observability -----------------------------------------------------
-  /// Bind a tracer: query initiation, query/response arrival and publish
-  /// arrival become instant events on `node` (the peer id by default),
-  /// each stamped with the causal context the message carried.
-  void set_obs(obs::Tracer* tracer, std::string_view node = {});
+  /// Bind PeerNodeStats as "<node>.discovery.<field>" and a tracer: query
+  /// initiation, query/response arrival and publish arrival become instant
+  /// events on `node` (the peer id by default), each stamped with the
+  /// causal context the message carried.
+  void set_obs(obs::Registry& registry, obs::Tracer* tracer = nullptr,
+               std::string_view node = {});
 
   /// Adopt a causal context: queries and publishes this node initiates are
   /// stamped with it, so whole discovery rounds (including every forwarded

@@ -31,13 +31,14 @@ struct OutputPipe {
 };
 
 struct PipeServeStats {
-  std::uint64_t payloads_sent = 0;
-  std::uint64_t payloads_received = 0;
-  std::uint64_t payloads_for_unknown_pipe = 0;
-  /// Stale-epoch payloads rejected by a producer fence: counted here,
-  /// never delivered (recovery double-fire suppression).
-  std::uint64_t payloads_fenced = 0;
-  std::uint64_t bytes_sent = 0;
+  CONGRID_COUNTERS(
+      payloads_sent,
+      payloads_received,
+      payloads_for_unknown_pipe,
+      /// Stale-epoch payloads rejected by a producer fence: counted here,
+      /// never delivered (recovery double-fire suppression).
+      payloads_fenced,
+      bytes_sent)
 };
 
 class PipeServe {
@@ -121,6 +122,11 @@ class PipeServe {
 
   const PipeServeStats& stats() const { return stats_; }
   PeerNode& node() { return node_; }
+
+  /// Bind PipeServeStats as "<scope>.pipe.<field>".
+  void set_obs(obs::Registry& registry, std::string_view scope = {}) {
+    obs::bind_counters(registry, scope, "pipe", stats_);
+  }
 
  private:
   void on_frame(const net::Endpoint& from, serial::Frame frame);

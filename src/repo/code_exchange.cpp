@@ -11,9 +11,11 @@ constexpr std::uint8_t kResponse = 2;
 
 }  // namespace
 
-void CodeExchange::set_obs(obs::Tracer* tracer, std::string_view node) {
+void CodeExchange::set_obs(obs::Registry& registry, obs::Tracer* tracer,
+                           std::string_view node) {
   tracer_ = tracer;
   trace_node_ = node.empty() ? transport_.local().value : std::string(node);
+  obs::bind_counters(registry, trace_node_, "code", stats_);
 }
 
 std::uint64_t CodeExchange::fetch(const net::Endpoint& owner,

@@ -13,18 +13,20 @@
 #include <unordered_map>
 
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "repo/repository.hpp"
 
 namespace cg::repo {
 
 struct CodeExchangeStats {
-  std::uint64_t requests_sent = 0;
-  std::uint64_t requests_served = 0;
-  std::uint64_t requests_not_found = 0;
-  std::uint64_t artifacts_received = 0;
-  std::uint64_t bytes_served = 0;
-  std::uint64_t bytes_received = 0;  ///< encoded-artifact bytes fetched
+  CONGRID_COUNTERS(
+      requests_sent,
+      requests_served,
+      requests_not_found,
+      artifacts_received,
+      bytes_served,
+      bytes_received)       ///< encoded-artifact bytes fetched
 };
 
 /// One per peer. Chain it behind PipeServe:
@@ -50,9 +52,11 @@ class CodeExchange {
                       const std::string& version, FetchHandler on_done,
                       const obs::TraceContext& trace = {});
 
-  /// Bind a tracer: served requests become "code.serve" events on `node`,
-  /// stamped with the requester's causal context.
-  void set_obs(obs::Tracer* tracer, std::string_view node = {});
+  /// Bind CodeExchangeStats as "<node>.code.<field>" and a tracer: served
+  /// requests become "code.serve" events on `node`, stamped with the
+  /// requester's causal context.
+  void set_obs(obs::Registry& registry, obs::Tracer* tracer = nullptr,
+               std::string_view node = {});
 
   /// Feed a frame from the handler chain. Consumes kCode frames; passes
   /// everything else to the fallback.

@@ -7,30 +7,20 @@
 namespace cg::repo {
 
 void ModuleCache::set_obs(obs::Registry& registry, std::string_view scope) {
-  obs_.hits = registry.counter(obs::scoped(scope, "cache.hits"));
-  obs_.misses = registry.counter(obs::scoped(scope, "cache.misses"));
-  obs_.insertions = registry.counter(obs::scoped(scope, "cache.insertions"));
-  obs_.evictions = registry.counter(obs::scoped(scope, "cache.evictions"));
-  obs_.bytes_fetched =
-      registry.counter(obs::scoped(scope, "cache.bytes_fetched"));
-  obs_.backing_hits =
-      registry.counter(obs::scoped(scope, "cache.backing_hits"));
-  obs_.resident_bytes =
-      registry.gauge(obs::scoped(scope, "cache.resident_bytes"));
-  obs_.resident_bytes.set(static_cast<double>(resident_bytes_));
+  obs::bind_counters(registry, scope, "cache", stats_);
+  resident_g_ = registry.gauge(obs::scoped(scope, "cache.resident_bytes"));
+  resident_g_.set(static_cast<double>(resident_bytes_));
 }
 
 std::optional<ModuleArtifact> ModuleCache::lookup(const std::string& name) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     ++stats_.misses;
-    obs_.misses.inc();
     if (backing_) {
       if (auto bytes = backing_->get_by_key("module/" + name)) {
         try {
           ModuleArtifact a = decode_artifact(*bytes);
           ++stats_.backing_hits;
-          obs_.backing_hits.inc();
           // Promote without writing through: the bytes came from the store.
           insert_internal(a, /*write_through=*/false);
           return a;
@@ -43,7 +33,6 @@ std::optional<ModuleArtifact> ModuleCache::lookup(const std::string& name) {
     return std::nullopt;
   }
   ++stats_.hits;
-  obs_.hits.inc();
   touch(it->second, name);
   return it->second.artifact;
 }
@@ -92,9 +81,7 @@ bool ModuleCache::insert_internal(const ModuleArtifact& a,
     entries_.emplace(a.name, std::move(e));
     ++stats_.insertions;
     stats_.bytes_fetched += a.size_bytes();
-    obs_.insertions.inc();
-    obs_.bytes_fetched.inc(a.size_bytes());
-    obs_.resident_bytes.set(static_cast<double>(resident_bytes_));
+    resident_g_.set(static_cast<double>(resident_bytes_));
     return true;
   }
 
@@ -108,9 +95,7 @@ bool ModuleCache::insert_internal(const ModuleArtifact& a,
   entries_.emplace(a.name, std::move(e));
   ++stats_.insertions;
   stats_.bytes_fetched += a.size_bytes();
-  obs_.insertions.inc();
-  obs_.bytes_fetched.inc(a.size_bytes());
-  obs_.resident_bytes.set(static_cast<double>(resident_bytes_));
+  resident_g_.set(static_cast<double>(resident_bytes_));
   return true;
 }
 
@@ -127,7 +112,6 @@ bool ModuleCache::make_room(std::size_t need) {
     }
     if (victim == lru_.end()) return false;  // everything pinned
     ++stats_.evictions;
-    obs_.evictions.inc();
     erase_entry(*victim);
   }
   return true;
@@ -139,7 +123,7 @@ void ModuleCache::erase_entry(const std::string& name) {
   resident_bytes_ -= it->second.artifact.size_bytes();
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
-  obs_.resident_bytes.set(static_cast<double>(resident_bytes_));
+  resident_g_.set(static_cast<double>(resident_bytes_));
 }
 
 void ModuleCache::pin(const std::string& name) {

@@ -22,14 +22,15 @@
 namespace cg::repo {
 
 struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t bytes_fetched = 0;   ///< sum of inserted artifact sizes
-  std::uint64_t rejected_too_large = 0;
-  std::uint64_t rejected_pinned = 0;  ///< replace attempt on an in-use module
-  std::uint64_t backing_hits = 0;  ///< misses satisfied by the backing store
+  CONGRID_COUNTERS(
+      hits,
+      misses,
+      insertions,
+      evictions,
+      bytes_fetched,        ///< sum of inserted artifact sizes
+      rejected_too_large,
+      rejected_pinned,      ///< replace attempt on an in-use module
+      backing_hits)         ///< misses satisfied by the backing store
 
   double hit_rate() const {
     const auto total = hits + misses;
@@ -88,15 +89,11 @@ class ModuleCache {
   std::size_t entry_count() const { return entries_.size(); }
   const CacheStats& stats() const { return stats_; }
 
-  /// Bind metrics: "<scope>.cache.*" counters plus a resident-bytes gauge.
+  /// Bind metrics: CacheStats as "<scope>.cache.<field>" plus a
+  /// resident-bytes gauge.
   void set_obs(obs::Registry& registry, std::string_view scope = {});
 
  private:
-  struct Obs {
-    obs::CounterRef hits, misses, insertions, evictions, bytes_fetched,
-        backing_hits;
-    obs::GaugeRef resident_bytes;
-  };
   struct Entry {
     ModuleArtifact artifact;
     int pin_count = 0;
@@ -111,7 +108,7 @@ class ModuleCache {
   cas::ContentStore* backing_ = nullptr;
   std::size_t budget_bytes_;
   std::size_t resident_bytes_ = 0;
-  Obs obs_;
+  obs::GaugeRef resident_g_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< front = most recent
   CacheStats stats_;

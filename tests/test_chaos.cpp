@@ -183,14 +183,14 @@ TEST(Chaos, FaultyRunMatchesLossFreeRunBitForBit) {
     net::ReliableStats sum = o.home_reliable;
     for (const auto& w : o.worker_reliable) {
       sum.retransmits += w.retransmits;
-      sum.duplicates_suppressed += w.duplicates_suppressed;
+      sum.dedup_hits += w.dedup_hits;
       sum.expired += w.expired;
     }
     return sum;
   };
   const net::ReliableStats dirty_total = total(dirty);
   EXPECT_GT(dirty_total.retransmits, 0u);
-  EXPECT_GT(dirty_total.duplicates_suppressed, 0u);
+  EXPECT_GT(dirty_total.dedup_hits, 0u);
   EXPECT_EQ(dirty_total.expired, 0u);  // nothing gave up
   EXPECT_EQ(total(clean).retransmits, 0u);
 

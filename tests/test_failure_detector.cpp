@@ -5,19 +5,19 @@
 
 #include <cmath>
 
-#include "core/service/failure_detector.hpp"
+#include "net/failure_detector.hpp"
 
 namespace cg::core {
 namespace {
 
 TEST(FailureDetector, SilentBeforeAnyHeartbeat) {
-  PhiAccrualDetector d;
+  net::PhiAccrualDetector d;
   EXPECT_EQ(d.samples(), 0u);
   EXPECT_DOUBLE_EQ(d.phi(100.0), 0.0);
 }
 
 TEST(FailureDetector, PhiGrowsMonotonicallyWithSilence) {
-  PhiAccrualDetector d;
+  net::PhiAccrualDetector d;
   for (int i = 0; i <= 10; ++i) d.heartbeat(2.0 * i);  // steady 2 s cadence
   EXPECT_EQ(d.samples(), 10u);
 
@@ -32,7 +32,7 @@ TEST(FailureDetector, PhiGrowsMonotonicallyWithSilence) {
 }
 
 TEST(FailureDetector, PhiKeepsGrowingPastErfcUnderflow) {
-  PhiAccrualDetector d;
+  net::PhiAccrualDetector d;
   for (int i = 0; i <= 5; ++i) d.heartbeat(1.0 * i);
   // Deep into the asymptotic branch: phi must still be finite, huge, and
   // increasing (no saturation at the double floor).
@@ -44,7 +44,7 @@ TEST(FailureDetector, PhiKeepsGrowingPastErfcUnderflow) {
 }
 
 TEST(FailureDetector, JitteryHistoryEarnsMorePatience) {
-  PhiAccrualDetector steady, jittery;
+  net::PhiAccrualDetector steady, jittery;
   double t1 = 0.0, t2 = 0.0;
   for (int i = 0; i < 16; ++i) {
     t1 += 2.0;
@@ -58,7 +58,7 @@ TEST(FailureDetector, JitteryHistoryEarnsMorePatience) {
 }
 
 TEST(FailureDetector, TouchDefersSuspicionWithoutRecordingIntervals) {
-  PhiAccrualDetector d;
+  net::PhiAccrualDetector d;
   for (int i = 0; i <= 8; ++i) d.heartbeat(2.0 * i);  // last heartbeat at 16
   const std::size_t samples_before = d.samples();
 
@@ -70,16 +70,16 @@ TEST(FailureDetector, TouchDefersSuspicionWithoutRecordingIntervals) {
 }
 
 TEST(FailureDetector, MinStdFloorPreventsHairTrigger) {
-  FailureDetectorOptions o;
+  net::FailureDetectorOptions o;
   o.min_std_s = 1.0;
-  PhiAccrualDetector d(o);
+  net::PhiAccrualDetector d(o);
   for (int i = 0; i <= 10; ++i) d.heartbeat(2.0 * i);  // zero observed jitter
   // One interval of extra silence is only ~2 sigma under the floor.
   EXPECT_LT(d.phi(24.0), 3.0);
 }
 
 TEST(FailureDetector, ResetForgetsEverything) {
-  PhiAccrualDetector d;
+  net::PhiAccrualDetector d;
   for (int i = 0; i <= 5; ++i) d.heartbeat(2.0 * i);
   d.reset();
   EXPECT_EQ(d.samples(), 0u);
@@ -90,9 +90,9 @@ TEST(FailureDetector, ResetForgetsEverything) {
 }
 
 TEST(FailureDetector, WindowSlidesOldSamplesOut) {
-  FailureDetectorOptions o;
+  net::FailureDetectorOptions o;
   o.window = 4;
-  PhiAccrualDetector d(o);
+  net::PhiAccrualDetector d(o);
   double t = 0.0;
   for (int i = 0; i < 8; ++i) d.heartbeat(t += 10.0);  // slow cadence
   for (int i = 0; i < 8; ++i) d.heartbeat(t += 1.0);   // now fast

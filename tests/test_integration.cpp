@@ -1,17 +1,15 @@
 // Integration tests off the simulator: the full service stack running
-// (a) across real threads over the in-process transport -- one thread per
-// peer, true concurrency -- and (b) over real TCP sockets on loopback.
+// (a) across real threads, one TcpTransport per peer thread -- true
+// concurrency -- and (b) over real TCP sockets on loopback.
 // These prove the stack is genuinely transport-agnostic (the paper's
 // middleware-independence constraint) and not merely sim-shaped.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <mutex>
 #include <thread>
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/inproc.hpp"
 #include "net/tcp.hpp"
 #include "net/time.hpp"
 
@@ -80,25 +78,24 @@ TaskGraph farm_graph() {
   return g;
 }
 
-TEST(IntegrationThreads, FarmAcrossRealThreadsOverInproc) {
-  net::InprocHub hub;
+TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
   net::Clock clock = net::steady_clock_seconds();
 
-  auto home_t = hub.create("home");
-  auto w0_t = hub.create("w0");
-  auto w1_t = hub.create("w1");
+  // Ephemeral 127.0.0.1 ports. Each transport is driven by exactly one
+  // thread once the peer threads start (tcp.hpp's threading model).
+  net::TcpTransport home_t(0), w0_t(0), w1_t(0);
 
   TimerQueue home_timers(clock), w0_timers(clock), w1_timers(clock);
 
   ServiceConfig hc;
   hc.peer_id = "home";
-  TrianaService home(*home_t, clock, home_timers.scheduler(), reg(), hc);
+  TrianaService home(home_t, clock, home_timers.scheduler(), reg(), hc);
   ServiceConfig c0;
   c0.peer_id = "w0";
-  TrianaService w0(*w0_t, clock, w0_timers.scheduler(), reg(), c0);
+  TrianaService w0(w0_t, clock, w0_timers.scheduler(), reg(), c0);
   ServiceConfig c1;
   c1.peer_id = "w1";
-  TrianaService w1(*w1_t, clock, w1_timers.scheduler(), reg(), c1);
+  TrianaService w1(w1_t, clock, w1_timers.scheduler(), reg(), c1);
 
   home.node().add_neighbor(w0.endpoint());
   home.node().add_neighbor(w1.endpoint());
@@ -107,35 +104,33 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverInproc) {
 
   TaskGraph g = farm_graph();
   home.publish_graph_modules(g);
+  const std::vector<net::Endpoint> workers = {w0.endpoint(), w1.endpoint()};
 
-  // One polling thread per worker peer (each service is confined to it).
-  std::atomic<bool> stop{false};
-  std::thread t0([&] {
-    while (!stop.load()) {
-      w0_t->poll();
+  // One polling thread per worker peer (each service is confined to it);
+  // jthreads stop and join on scope exit, before the services they drive.
+  std::jthread t0([&](std::stop_token st) {
+    while (!st.stop_requested()) {
+      w0_t.poll_wait(1);
       w0_timers.poll();
-      std::this_thread::yield();
     }
   });
-  std::thread t1([&] {
-    while (!stop.load()) {
-      w1_t->poll();
+  std::jthread t1([&](std::stop_token st) {
+    while (!st.stop_requested()) {
+      w1_t.poll_wait(1);
       w1_timers.poll();
-      std::this_thread::yield();
     }
   });
 
   // The controller runs on this thread and polls the home transport.
   TrianaController ctl(home);
-  auto run = ctl.distribute(g, "G", {w0.endpoint(), w1.endpoint()});
+  auto run = ctl.distribute(g, "G", workers);
 
   auto pump_home = [&](auto pred) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (!pred() && std::chrono::steady_clock::now() < deadline) {
-      home_t->poll();
+      home_t.poll_wait(1);
       home_timers.poll();
-      std::this_thread::yield();
     }
   };
 
@@ -147,10 +142,6 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverInproc) {
   ctl.tick(*run, kItems);
   auto* grapher = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   pump_home([&] { return grapher->items().size() >= kItems; });
-
-  stop.store(true);
-  t0.join();
-  t1.join();
 
   ASSERT_EQ(grapher->items().size(), static_cast<std::size_t>(kItems));
   for (const auto& item : grapher->items()) {

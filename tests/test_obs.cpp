@@ -11,13 +11,18 @@
 #include <string>
 #include <vector>
 
+#include "cas/store.hpp"
 #include "churn/driver.hpp"
+#include "core/engine/runtime.hpp"
 #include "core/service/controller.hpp"
+#include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
 #include "net/sim_network.hpp"
 #include "obs/obs.hpp"
+#include "p2p/node_id.hpp"
+#include "p2p/overlay.hpp"
 #include "repo/module_cache.hpp"
 #include "repo/repository.hpp"
 
@@ -353,7 +358,7 @@ TEST(ObsReliable, LossyLinkShowsRetransmitsAndDedup) {
   EXPECT_EQ(snap.counter("a.reliable.retransmits"),
             pair.a->stats().retransmits);
   EXPECT_EQ(snap.counter("b.reliable.dedup_hits"),
-            pair.b->stats().duplicates_suppressed);
+            pair.b->stats().dedup_hits);
   EXPECT_EQ(snap.counter("a.reliable.sent"), 60u);
   // At 10% frame loss some envelope or ack must have died.
   EXPECT_GT(snap.counter("a.reliable.retransmits"), 0u);
@@ -417,21 +422,21 @@ TEST(ObsNetwork, FrameCountersMirrorSimStats) {
 
   const obs::MetricsSnapshot snap = reg.snapshot();
 #if CONGRID_OBS_ENABLED
-  EXPECT_EQ(snap.counter("net0.net.frames_sent"), net.stats().messages_sent);
-  EXPECT_EQ(snap.counter("net0.net.frames_delivered"),
+  EXPECT_EQ(snap.counter("net0.net.messages_sent"), net.stats().messages_sent);
+  EXPECT_EQ(snap.counter("net0.net.messages_delivered"),
             net.stats().messages_delivered);
-  EXPECT_EQ(snap.counter("net0.net.frames_dropped"),
+  EXPECT_EQ(snap.counter("net0.net.messages_dropped"),
             net.stats().messages_dropped);
-  EXPECT_EQ(snap.counter("net0.net.frames_sent"), 100u);
-  EXPECT_GT(snap.counter("net0.net.frames_dropped"), 0u);
-  EXPECT_EQ(snap.counter("net0.net.frames_delivered"),
+  EXPECT_EQ(snap.counter("net0.net.messages_sent"), 100u);
+  EXPECT_GT(snap.counter("net0.net.messages_dropped"), 0u);
+  EXPECT_EQ(snap.counter("net0.net.messages_delivered"),
             static_cast<std::uint64_t>(got));
   // Per-link delay histogram saw every delivered frame.
   ASSERT_NE(snap.histogram("net0.net.link_delay_s"), nullptr);
   EXPECT_EQ(snap.histogram("net0.net.link_delay_s")->count,
             net.stats().messages_delivered);
 #else
-  EXPECT_EQ(snap.counter("net0.net.frames_sent"), 0u);
+  EXPECT_EQ(snap.counter("net0.net.messages_sent"), 0u);
 #endif
 }
 
@@ -561,6 +566,280 @@ TEST(ObsService, RemoteDeployRecordsLifecycle) {
 #else
   EXPECT_EQ(snap.counter("w0.service.deploys_received"), 0u);
 #endif
+}
+
+
+// ------------------------------------------------------- export completeness
+
+#if !CONGRID_OBS_ENABLED
+static_assert(sizeof(obs::Count) == sizeof(std::uint64_t),
+              "a compiled-out counter cell is one plain uint64_t");
+#endif
+
+TEST(Metrics, CountCellBumpsValueAndBoundCounter) {
+  obs::Registry reg;
+  obs::Count c;
+  ++c;  // before binding: counted locally only
+  c.bind(reg.counter("x"));
+  ++c;
+  c += 3;
+  EXPECT_EQ(c, 5u);
+  const std::uint64_t as_int = c;
+  EXPECT_EQ(as_int, 5u);
+
+  obs::Count copy = c;  // a detached snapshot: bumps stay local
+  ++copy;
+  EXPECT_EQ(copy, 6u);
+  EXPECT_FALSE(copy == c);
+
+  c = obs::Count{};  // resetting keeps the binding
+  ++c;
+  EXPECT_EQ(c, 1u);
+#if CONGRID_OBS_ENABLED
+  EXPECT_EQ(reg.snapshot().counter("x"), 5u);
+#else
+  EXPECT_EQ(reg.snapshot().counter("x"), 0u);
+#endif
+}
+
+TEST(Metrics, StatsEqualityIgnoresBinding) {
+  // The determinism oracles compare stats structs with ==; a bound and an
+  // unbound struct holding the same counts must compare equal.
+  obs::Registry reg;
+  net::ReliableStats bound, unbound;
+  obs::bind_counters(reg, "s", "reliable", bound);
+  for (net::ReliableStats* st : {&bound, &unbound}) {
+    ++st->sent;
+    st->frames_coalesced += 3;
+  }
+  EXPECT_TRUE(bound == unbound);
+  ++unbound.acked;
+  EXPECT_FALSE(bound == unbound);
+#if CONGRID_OBS_ENABLED
+  EXPECT_EQ(reg.snapshot().counter("s.reliable.frames_coalesced"), 3u);
+#endif
+}
+
+/// Walk `stats`' own counter list: every field must be registered as
+/// "<base>.<field>" and read the same value. Under CONGRID_OBS=OFF the
+/// snapshot is empty while the fields still count.
+template <class Stats>
+void expect_all_exported(const obs::MetricsSnapshot& snap,
+                         const std::string& base, const Stats& stats) {
+  int fields = 0;
+  stats.for_each_counter([&](std::string_view field, const obs::Count& c) {
+    ++fields;
+    const std::string name = base + "." + std::string(field);
+#if CONGRID_OBS_ENABLED
+    EXPECT_TRUE(snap.counters.contains(name)) << name << " never registered";
+    EXPECT_EQ(snap.counter(name), c) << name;
+#else
+    EXPECT_EQ(snap.counter(name), 0u) << name;
+#endif
+  });
+  EXPECT_GT(fields, 0) << base;
+}
+
+TEST(ObsExport, WireStatsAllOnMetrics) {
+  net::SimNetwork net({}, 17);
+  auto clock = [&net] { return net.now(); };
+  auto sched = [&net](double d, std::function<void()> fn) {
+    net.schedule(d, std::move(fn));
+  };
+  net::ReliableConfig rc;
+  rc.batch = true;
+  net::ReliableTransport a(net.add_node(), clock, sched, rc);
+  net::ReliableTransport b(net.add_node(), clock, sched, rc);
+  net::SimTransport& raw = net.add_node();
+  obs::Registry reg;
+  net.set_obs(reg, nullptr, "sim");
+  a.set_obs(reg, nullptr, "a");
+  b.set_obs(reg, nullptr, "b");
+
+  net::FaultPlan plan;
+  plan.default_link.drop = 0.15;
+  plan.default_link.duplicate = 0.1;
+  net::FaultInjector inj(net, plan, 23);
+  inj.arm();
+  b.set_handler([](const net::Endpoint&, serial::Frame) {});
+  for (int i = 0; i < 40; ++i) {
+    net.schedule(i * 0.1, [&a, &b, i] {
+      serial::Frame f;
+      f.type = serial::FrameType::kControl;
+      f.payload.assign(i % 10 == 0 ? 6000 : 8, 7);  // some bypass batching
+      a.send(b.local(), std::move(f));
+    });
+  }
+  net.run_all();
+  inj.disarm();
+  net.set_up(raw.id(), false);
+  net.set_up(raw.id(), true);
+  // One malformed kBatch frame (zero sub-frames) straight onto b's wire.
+  serial::Frame bad;
+  bad.type = serial::FrameType::kBatch;
+  bad.payload = {0, 0};
+  raw.send(b.local(), std::move(bad));
+  net.run_all();
+
+  // The fields count whether or not the obs layer is compiled in.
+  EXPECT_EQ(b.stats().malformed_dropped, 1u);
+  EXPECT_EQ(a.stats().sent, 40u);
+  EXPECT_GT(a.stats().retransmits, 0u);
+  EXPECT_GT(a.stats().batch_bypassed, 0u);
+  EXPECT_GT(b.stats().batches_received, 0u);
+  EXPECT_EQ(net.stats().node_down, 1u);
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  expect_all_exported(snap, "sim.net", net.stats());
+  expect_all_exported(snap, "a.reliable", a.stats());
+  expect_all_exported(snap, "b.reliable", b.stats());
+}
+
+TEST(ObsExport, ServiceStackStatsAllOnMetrics) {
+  using namespace cg::core;
+  static UnitRegistry ureg = UnitRegistry::with_builtins();
+  net::SimNetwork net({}, 29);
+  auto clock = [&net] { return net.now(); };
+  auto sched = [&net](double d, std::function<void()> fn) {
+    net.schedule(d, std::move(fn));
+  };
+  // home, w0, w1 and one spare; each peer with its own content store.
+  const std::vector<std::string> ids = {"home", "w0", "w1", "s0"};
+  std::vector<std::unique_ptr<cas::ContentStore>> stores;
+  std::vector<std::unique_ptr<TrianaService>> peers;
+  obs::Registry reg;
+  for (const std::string& id : ids) {
+    stores.push_back(std::make_unique<cas::ContentStore>());
+    ServiceConfig cfg;
+    cfg.peer_id = id;
+    cfg.cas = stores.back().get();
+    peers.push_back(std::make_unique<TrianaService>(net.add_node(), clock,
+                                                    sched, ureg, cfg));
+    peers.back()->set_obs(reg);  // scope = peer id
+  }
+  TrianaService& home = *peers[0];
+  for (std::size_t i = 1; i < peers.size(); ++i) {
+    home.node().add_neighbor(peers[i]->endpoint());
+    peers[i]->node().add_neighbor(home.endpoint());
+  }
+
+  TaskGraph inner("inner");
+  inner.add_task("Scale", "Scaler");
+  TaskGraph g("farm");
+  g.add_task("Wave", "Wave");
+  TaskDef& grp = g.add_group("G", std::move(inner), "parallel");
+  grp.group_inputs = {GroupPort{"Scale", 0}};
+  grp.group_outputs = {GroupPort{"Scale", 0}};
+  g.add_task("Sink", "Grapher");
+  g.connect("Wave", 0, "G", 0);
+  g.connect("G", 0, "Sink", 0);
+  home.publish_graph_modules(g, 4096);
+
+  TrianaController ctl(home);
+  auto run = ctl.distribute(g, "G", {peers[1]->endpoint(),
+                                     peers[2]->endpoint()});
+  net.run_until(5.0);
+  ASSERT_TRUE(run->deployed_ok());
+  SupervisorOptions opt;
+  opt.probe_period_s = 1.0;
+  opt.checkpoint_period_s = 2.0;
+  opt.lease_s = 4.0;
+  auto sup = std::make_shared<RunSupervisor>(
+      ctl, run, std::vector<net::Endpoint>{peers[3]->endpoint()}, opt);
+  sup->set_obs(reg, nullptr, "sup");
+  sup->start();
+  ctl.tick(*run, 8);
+  // w1 dies mid-run: detection, fencing and recovery onto the spare.
+  net.schedule(4.0, [&net] { net.set_up(2, false); });
+  net.schedule(8.0, [&ctl, &run] { ctl.tick(*run, 8); });
+  net.run_until(60.0);
+  sup->stop();
+
+  EXPECT_GT(home.stats().pipe_items_in, 0u);
+  EXPECT_GT(peers[1]->code().stats().bytes_received, 0u);
+  EXPECT_GT(sup->stats().probes_sent, 0u);
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  expect_all_exported(snap, "sup.supervisor", sup->stats());
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    TrianaService& p = *peers[i];
+    expect_all_exported(snap, ids[i] + ".service", p.stats());
+    expect_all_exported(snap, ids[i] + ".reliable", p.reliable().stats());
+    expect_all_exported(snap, ids[i] + ".discovery", p.node().stats());
+    expect_all_exported(snap, ids[i] + ".pipe", p.pipes().stats());
+    expect_all_exported(snap, ids[i] + ".code", p.code().stats());
+    expect_all_exported(snap, ids[i] + ".cache", p.module_cache().stats());
+    expect_all_exported(snap, ids[i] + ".cas", stores[i]->stats());
+  }
+}
+
+TEST(ObsExport, RuntimeStatsAllOnMetrics) {
+  using namespace cg::core;
+  static UnitRegistry ureg = UnitRegistry::with_builtins();
+  TaskGraph g("local");
+  g.add_task("Wave", "Wave");
+  g.add_task("Scale", "Scaler");
+  g.add_task("Sink", "NullSink");
+  g.connect("Wave", 0, "Scale", 0);
+  g.connect("Scale", 0, "Sink", 0);
+  GraphRuntime rt(g, ureg);
+  obs::Registry reg;
+  rt.set_obs(reg, "rt");
+  rt.run(5);
+  EXPECT_EQ(rt.stats().ticks, 5u);
+  expect_all_exported(reg.snapshot(), "rt.runtime", rt.stats());
+}
+
+TEST(ObsExport, OverlayStatsAllOnMetrics) {
+  net::SimNetwork net({}, 31);
+  auto sched = [&net](double d, std::function<void()> fn) {
+    net.schedule(d, std::move(fn));
+  };
+  p2p::OverlayConfig cfg;
+  cfg.shards = 4;
+  cfg.replication = 2;
+  cfg.primary_lo = 0.0;
+  cfg.primary_hi = 4000.0;
+  std::vector<p2p::Contact> everyone;
+  std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
+  for (int i = 0; i < 12; ++i) {
+    const std::string id = "o" + std::to_string(i);
+    nodes.push_back(std::make_unique<p2p::PeerNode>(
+        net.add_node(), [&net] { return net.now(); },
+        p2p::PeerConfig{.peer_id = id}));
+    everyone.push_back({p2p::node_id_of(id), nodes.back()->endpoint()});
+  }
+  cfg.bootstrap = [everyone](p2p::NodeId) { return everyone; };
+  obs::Registry reg;
+  std::vector<std::unique_ptr<p2p::OverlayNode>> overlays;
+  for (auto& n : nodes) {
+    overlays.push_back(std::make_unique<p2p::OverlayNode>(*n, sched, cfg));
+    overlays.back()->enable_index();
+    overlays.back()->set_obs(reg, nullptr, n->id());
+    n->set_obs(reg);
+  }
+  for (int i = 1; i <= 6; ++i) {
+    overlays[i]->publish({nodes[i]->make_peer_advert(
+        {{"cpu_mhz", std::to_string(600.0 * i)}})});
+  }
+  net.run_all();
+  p2p::Query q;
+  q.kind = p2p::AdvertKind::kPeer;
+  q.require_min["cpu_mhz"] = 1000.0;
+  bool done = false;
+  overlays[0]->find(q, SIZE_MAX,
+                    [&](std::vector<p2p::Advertisement>) { done = true; });
+  net.run_all();
+  ASSERT_TRUE(done);
+  EXPECT_GT(overlays[0]->stats().find_rpcs, 0u);
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    expect_all_exported(snap, nodes[i]->id() + ".overlay",
+                        overlays[i]->stats());
+    expect_all_exported(snap, nodes[i]->id() + ".discovery",
+                        nodes[i]->stats());
+  }
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ TEST(Reliable, CleanLinkDeliversOnceAndAcks) {
   EXPECT_EQ(pair.a.in_flight(), 0u);
   EXPECT_EQ(pair.b.stats().delivered, 1u);
   EXPECT_EQ(pair.b.stats().acks_sent, 1u);
-  EXPECT_EQ(pair.b.stats().duplicates_suppressed, 0u);
+  EXPECT_EQ(pair.b.stats().dedup_hits, 0u);
 }
 
 TEST(Reliable, RetransmitsUntilDelivered) {
@@ -141,7 +141,7 @@ TEST(Reliable, DuplicatedEnvelopeIsSuppressedAndReAcked) {
 
   EXPECT_EQ(got, 1);  // the application saw it exactly once
   EXPECT_EQ(pair.b.stats().delivered, 1u);
-  EXPECT_EQ(pair.b.stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(pair.b.stats().dedup_hits, 1u);
   EXPECT_EQ(pair.b.stats().acks_sent, 2u);  // both copies acked
   EXPECT_EQ(pair.a.stats().acked, 1u);      // extra ack ignored
   EXPECT_EQ(pair.a.in_flight(), 0u);
@@ -167,7 +167,7 @@ TEST(Reliable, LostAckProvokesRetransmitNotDuplicateDelivery) {
   EXPECT_EQ(got, 1);
   EXPECT_GE(pair.a.stats().retransmits, 1u);
   EXPECT_EQ(pair.a.stats().acked, 1u);
-  EXPECT_EQ(pair.b.stats().duplicates_suppressed,
+  EXPECT_EQ(pair.b.stats().dedup_hits,
             pair.a.stats().retransmits);
 }
 
@@ -244,7 +244,7 @@ TEST(Reliable, DedupWindowEvictsOldestIds) {
   }
   pair.net.run_until(60.0);
   EXPECT_EQ(got, 10);  // eviction never suppresses fresh ids
-  EXPECT_EQ(pair.b.stats().duplicates_suppressed, 0u);
+  EXPECT_EQ(pair.b.stats().dedup_hits, 0u);
 }
 
 TEST(Reliable, CorruptionBehavesLikeLoss) {
