@@ -1,7 +1,8 @@
 // M1 -- substrate micro-benchmarks (google-benchmark).
 //
-// Sanity numbers behind the experiment harnesses: FFT and fast-vs-direct
-// correlation (the inspiral kernel), DataItem and frame codecs, XML
+// Sanity numbers behind the experiment harnesses: complex and real FFTs,
+// fast-vs-direct correlation and the matched filter at Case 2's 2^21-point
+// padded chunk (the inspiral kernel), DataItem and frame codecs, XML
 // task-graph parsing, simulated-network event throughput, and chirp/SPH
 // generation costs.
 #include <benchmark/benchmark.h>
@@ -40,6 +41,19 @@ void BM_Fft(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
+void BM_Rfft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto sig = random_signal(n, 1);
+  for (auto _ : state) {
+    auto half = dsp::rfft(sig);
+    benchmark::DoNotOptimize(half.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+// 2^21 is the padded length of a Case 2 chunk (1.8 M samples).
+BENCHMARK(BM_Rfft)->Arg(1 << 10)->Arg(1 << 18)->Arg(1 << 21);
+
 void BM_FastCorrelate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto data = random_signal(n, 1);
@@ -61,6 +75,24 @@ void BM_DirectCorrelate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DirectCorrelate)->Arg(1 << 12)->Arg(1 << 16);
+
+// One template against a data spectrum computed once, as a bank scan runs
+// it, at padded length n: the data is the longest that pads to n with a
+// 40 k-sample template (a Case 2 chunk of 1.8 M samples pads to 2^21).
+// Items are templates.
+void BM_MatchedFilter(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t tmpl_len = 40000;
+  const auto data = random_signal(n - tmpl_len + 1, 1);
+  const auto tmpl = random_signal(tmpl_len, 2);
+  const auto half = dsp::rfft(data, n);
+  for (auto _ : state) {
+    auto r = dsp::matched_filter(half, data.size(), tmpl);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MatchedFilter)->Arg(1 << 21)->Unit(benchmark::kMillisecond);
 
 void BM_ChirpGeneration(benchmark::State& state) {
   gw::ChirpParams p;

@@ -30,12 +30,14 @@ if [[ "${1:-}" == "tsan" ]]; then
   # HTTP plane.
   # test_integration runs whole services on separate threads, one
   # TcpTransport each: every counter cell must stay on its owner's thread.
+  # test_dsp: the FFT's process-wide plan cache, which threads first-use
+  # concurrently.
   cmake --build "${TSAN_DIR}" -j --target \
     test_parallel_runtime test_rm test_core_runtime test_cas test_chaos \
-    test_wire test_overlay test_obs_http test_integration
+    test_wire test_overlay test_obs_http test_integration test_dsp
   for t in test_parallel_runtime test_rm test_core_runtime test_cas \
            test_chaos test_wire test_overlay test_obs_http \
-           test_integration; do
+           test_integration test_dsp; do
     "./${TSAN_DIR}/tests/${t}"
   done
   echo "tier-1 (tsan): OK"
@@ -60,11 +62,13 @@ cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # own entries from inside timer closures, the classic shape for a
 # use-after-free when a late reply races a timeout.
 # test_integration: whole services on separate threads over sockets.
+# test_dsp: the FFT's real-transform split step pairs bin k with bin n/2-k,
+# and its k = 0 and k = n/2 ends are where an index would run past a buffer.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
   test_obs test_obs_http test_wire test_tcp_parity test_overlay \
-  test_integration
+  test_integration test_dsp
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
-         test_wire test_tcp_parity test_overlay test_integration; do
+         test_wire test_tcp_parity test_overlay test_integration test_dsp; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

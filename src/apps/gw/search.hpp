@@ -25,7 +25,9 @@ struct SearchResult {
 
 /// Scan `data` with bank templates [first, first+count) using FFT fast
 /// correlation; the SNR statistic is the normalised matched-filter peak
-/// divided by the noise sigma estimate.
+/// divided by the noise sigma estimate. The data is transformed once per
+/// call, padded for the bank's longest template, so every slice of a bank
+/// reports bit-identical SNRs for the templates it shares with the whole.
 SearchResult scan_chunk(const std::vector<double>& data,
                         const TemplateBank& bank, std::size_t first,
                         std::size_t count);

@@ -1,5 +1,6 @@
 #include "apps/gw/template_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,6 +34,12 @@ TemplateBank::TemplateBank(const BankSpec& spec) : spec_(spec) {
 std::size_t TemplateBank::total_bytes() const {
   std::size_t n = 0;
   for (const auto& t : templates_) n += t.size() * sizeof(double);
+  return n;
+}
+
+std::size_t TemplateBank::longest() const {
+  std::size_t n = 0;
+  for (const auto& t : templates_) n = std::max(n, t.size());
   return n;
 }
 

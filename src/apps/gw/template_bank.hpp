@@ -42,6 +42,9 @@ class TemplateBank {
   /// Total bytes of waveform storage (capacity planning).
   std::size_t total_bytes() const;
 
+  /// Samples in the longest waveform of the bank.
+  std::size_t longest() const;
+
  private:
   BankSpec spec_;
   std::vector<std::vector<double>> templates_;

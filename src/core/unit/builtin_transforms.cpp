@@ -526,9 +526,9 @@ void CorrelatorUnit::process(ProcessContext& ctx) {
   SampleSet corr;
   corr.sample_rate = data.sample_rate;
   corr.samples = dsp::fast_correlate(data.samples, tmpl.samples);
-  const auto match = dsp::matched_filter(data.samples, tmpl.samples);
+  const double peak = dsp::normalised_peak(corr.samples, tmpl.samples).peak;
   ctx.emit(0, std::move(corr));
-  ctx.emit(1, match.peak);
+  ctx.emit(1, peak);
 }
 
 UnitInfo SpectrumPeakUnit::make_info() {

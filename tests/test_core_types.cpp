@@ -7,6 +7,7 @@
 #include "core/types/data_item.hpp"
 #include "core/unit/builtin.hpp"
 #include "core/unit/proxy_units.hpp"
+#include "dsp/correlate.hpp"
 #include "serial/reader.hpp"
 
 namespace cg::core {
@@ -381,6 +382,24 @@ TEST(Units, CorrelatorEmitsSeriesAndPeak) {
   }
   EXPECT_EQ(best, 100u);
   EXPECT_GT(ctx.emissions()[1].second.scalar(), 0.0);
+}
+
+TEST(Units, CorrelatorPeakIsTheMatchedFilterPeak) {
+  CorrelatorUnit corr;
+  dsp::Rng rng(9);
+  std::vector<double> data(700), tmpl(90);
+  for (auto& x : data) x = rng.gaussian();
+  for (auto& x : tmpl) x = rng.gaussian();
+
+  ProcessContext ctx({DataItem(SampleSet{1.0, data}),
+                      DataItem(SampleSet{1.0, tmpl})},
+                     1, &rng, nullptr);
+  corr.process(ctx);
+  ASSERT_EQ(ctx.emissions().size(), 2u);
+  EXPECT_EQ(ctx.emissions()[0].second.samples().samples,
+            dsp::fast_correlate(data, tmpl));
+  EXPECT_EQ(ctx.emissions()[1].second.scalar(),
+            dsp::matched_filter(data, tmpl).peak);
 }
 
 TEST(Units, SpectrumPeakReportsFrequency) {

@@ -3,7 +3,12 @@
 // windows, statistics and the deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <utility>
 
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
@@ -109,6 +114,69 @@ TEST(Fft, ParsevalHolds) {
   EXPECT_NEAR(freq_energy / static_cast<double>(a.size()), time_energy, 1e-6);
 }
 
+TEST(Fft, RoundTripAtTwoToTheTwentyIsExact) {
+  // Exact per-stage twiddles: a twiddle recurrence drifts to ~1e-10 here.
+  Rng rng(17);
+  std::vector<Complex> a(std::size_t{1} << 20);
+  for (auto& x : a) x = Complex(rng.gaussian(), rng.gaussian());
+  const auto orig = a;
+  fft(a);
+  ifft(a);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    worst = std::max(worst, std::abs(a[i] - orig[i]));
+  }
+  EXPECT_LT(worst, 1e-13);
+}
+
+TEST(Fft, ConcurrentFirstUseOfOnePlanAgrees) {
+  // 2^18 points is a size no other test in this binary transforms, so the
+  // four threads race to build its plan.
+  Rng rng(23);
+  std::vector<Complex> input(std::size_t{1} << 18);
+  for (auto& x : input) x = Complex(rng.gaussian(), rng.gaussian());
+  std::vector<std::vector<Complex>> out(4, input);
+  {
+    std::vector<std::jthread> threads;
+    for (auto& o : out) threads.emplace_back([&o] { fft(o); });
+  }
+  auto serial = input;
+  fft(serial);
+  for (const auto& o : out) EXPECT_TRUE(o == serial);
+}
+
+TEST(Rfft, MatchesComplexFftAtEveryPowerOfTwo) {
+  // 1 .. 2^16 samples: half-length transforms of 1 .. 2^15 points, on both
+  // sides of the 2^13-point cache block.
+  Rng rng(29);
+  for (std::size_t n = 1; n <= (std::size_t{1} << 16); n <<= 1) {
+    SCOPED_TRACE(n);
+    std::vector<double> s(n);
+    for (auto& x : s) x = rng.gaussian();
+    std::vector<Complex> full(s.begin(), s.end());
+    fft(full);
+    const auto half = rfft(s);
+    ASSERT_EQ(half.size(), n / 2 + 1);
+    double worst = 0.0;
+    for (std::size_t k = 0; k < half.size(); ++k) {
+      worst = std::max(worst, std::abs(half[k] - full[k]));
+    }
+    // Rounding error grows like sqrt(n) log n; measured 2.3e-16 of that.
+    EXPECT_LT(worst, 1e-15 * std::sqrt(static_cast<double>(n)) *
+                         std::log2(static_cast<double>(2 * n)));
+    const auto back = irfft(half, n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(back[i], s[i], 1e-13);
+  }
+}
+
+TEST(Rfft, PadsToTheRequestedLength) {
+  const std::vector<double> s = {1.0, -2.0, 3.0};
+  EXPECT_EQ(rfft(s, 16), rfft({1.0, -2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}));
+  EXPECT_THROW(rfft(s, 2), std::invalid_argument);   // shorter than s
+  EXPECT_THROW(rfft(s, 12), std::invalid_argument);  // not a power of two
+}
+
 TEST(Rfft, HermitianHalfSpectrumRoundTrip) {
   Rng rng(11);
   std::vector<double> s(300);
@@ -200,15 +268,42 @@ TEST(Spectrum, EmptySignalThrows) {
 
 TEST(Correlate, FastMatchesDirect) {
   Rng rng(21);
-  std::vector<double> data(400), tmpl(64);
+  // The second case has a template longer than the data, and neither
+  // length is a power of two.
+  for (const auto& [data_len, tmpl_len] :
+       {std::pair<std::size_t, std::size_t>{400, 64}, {300, 437}}) {
+    SCOPED_TRACE(tmpl_len);
+    std::vector<double> data(data_len), tmpl(tmpl_len);
+    for (auto& x : data) x = rng.gaussian();
+    for (auto& x : tmpl) x = rng.gaussian();
+    auto fast = fast_correlate(data, tmpl);
+    auto direct = direct_correlate(data, tmpl);
+    ASSERT_EQ(fast.size(), direct.size());
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      EXPECT_NEAR(fast[i], direct[i], 1e-8) << "lag " << i;
+    }
+  }
+}
+
+TEST(Correlate, PrecomputedSpectrumMatchesBitForBit) {
+  Rng rng(37);
+  std::vector<double> data(3000), tmpl(700);
   for (auto& x : data) x = rng.gaussian();
   for (auto& x : tmpl) x = rng.gaussian();
-  auto fast = fast_correlate(data, tmpl);
-  auto direct = direct_correlate(data, tmpl);
-  ASSERT_EQ(fast.size(), direct.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], direct[i], 1e-8) << "lag " << i;
-  }
+  const std::size_t n = next_pow2(data.size() + tmpl.size() - 1);
+  const auto half = rfft(data, n);
+  const auto a = matched_filter(half, data.size(), tmpl);
+  const auto b = matched_filter(data, tmpl);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.peak),
+            std::bit_cast<std::uint64_t>(b.peak));
+  EXPECT_EQ(a.offset, b.offset);
+
+  // A longer spectrum still correlates linearly; a shorter one cannot.
+  const auto wide = matched_filter(rfft(data, 2 * n), data.size(), tmpl);
+  EXPECT_NEAR(wide.peak, b.peak, 1e-12 * b.peak);
+  EXPECT_EQ(wide.offset, b.offset);
+  EXPECT_THROW(matched_filter(rfft(data, 2048), data.size(), tmpl),
+               std::invalid_argument);
 }
 
 TEST(Correlate, MatchedFilterFindsEmbeddedTemplate) {

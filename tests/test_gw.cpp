@@ -3,7 +3,9 @@
 // paper's Case 2 arithmetic through the cost model, and the Triana units.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "apps/gw/units.hpp"
 #include "core/engine/runtime.hpp"
@@ -141,19 +143,38 @@ TEST(Search, SlicedScansCoverTheBank) {
   spec.n_templates = 12;
   spec.f_low_hz = 150.0;
   TemplateBank bank(spec);
-  DetectorSpec det;
-  dsp::Rng rng(3);
-  auto data = make_strain_chunk(det, rng, &bank.params(7), 2000, 4.0, 1 << 14);
+  // Heavier templates are shorter, so the last slice's longest template
+  // is shorter than the bank's. The second case sizes the chunk so that
+  // slice alone would pad to 2^14 while the bank pads to 2^15.
+  const std::size_t last_slice_longest = bank.waveform(8).size();
+  ASSERT_LT(last_slice_longest, bank.longest());
+  const std::size_t split_len = (1u << 14) - last_slice_longest + 1;
+  ASSERT_GT(split_len + bank.longest() - 1, 1u << 14);
 
-  // Whole-bank scan equals the max over three 4-template slices.
-  const auto whole = scan_chunk(data, bank, 0, 12);
-  SearchResult best;
-  for (std::size_t s = 0; s < 3; ++s) {
-    const auto r = scan_chunk(data, bank, s * 4, 4);
-    if (r.best_snr > best.best_snr) best = r;
+  struct Case {
+    std::size_t samples;
+    std::size_t inject;
+  };
+  for (const Case c : {Case{1u << 14, 7}, Case{split_len, 10}}) {
+    SCOPED_TRACE(c.samples);
+    DetectorSpec det;
+    dsp::Rng rng(3);
+    auto data = make_strain_chunk(det, rng, &bank.params(c.inject), 2000,
+                                  4.0, c.samples);
+
+    // Whole-bank scan equals, bit for bit, the max over three 4-template
+    // slices.
+    const auto whole = scan_chunk(data, bank, 0, 12);
+    SearchResult best;
+    for (std::size_t s = 0; s < 3; ++s) {
+      const auto r = scan_chunk(data, bank, s * 4, 4);
+      if (r.best_snr > best.best_snr) best = r;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best.best_snr),
+              std::bit_cast<std::uint64_t>(whole.best_snr));
+    EXPECT_EQ(best.best_template, whole.best_template);
+    EXPECT_EQ(best.best_offset, whole.best_offset);
   }
-  EXPECT_DOUBLE_EQ(best.best_snr, whole.best_snr);
-  EXPECT_EQ(best.best_template, whole.best_template);
 }
 
 TEST(Search, BadRangeThrows) {
