@@ -33,7 +33,7 @@
 #include "cas/store.hpp"
 #include "core/service/service.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/obs.hpp"
 
 using namespace cg;
@@ -56,13 +56,11 @@ struct Grid {
   Grid(std::size_t n_workers, obs::Registry& registry,
        const std::string& phase, std::vector<cas::ContentStore*> stores,
        bool memoize) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto clock = be.clock();
+    auto sched = be.scheduler();
     ServiceConfig home_cfg;
     home_cfg.peer_id = "home";
-    home = std::make_unique<TrianaService>(net.add_node(), clock, sched,
+    home = std::make_unique<TrianaService>(be.add_node(), clock, sched,
                                            reg(), home_cfg);
     for (std::size_t i = 0; i < n_workers; ++i) {
       ServiceConfig cfg;
@@ -70,7 +68,7 @@ struct Grid {
       cfg.cas = i < stores.size() ? stores[i] : nullptr;
       cfg.memoize_pure_units = memoize;
       workers.push_back(std::make_unique<TrianaService>(
-          net.add_node(), clock, sched, reg(), cfg));
+          be.add_node(), clock, sched, reg(), cfg));
       workers.back()->set_obs(registry, nullptr,
                               phase + "." + cfg.peer_id);
     }
@@ -98,11 +96,11 @@ struct Grid {
             }
           }));
     }
-    net.run_all();
+    be.net().run_all();
     return ids;
   }
 
-  net::SimNetwork net{net::LinkParams{}, 1};
+  net::SimBackend be{net::LinkParams{}, 1};
   std::unique_ptr<TrianaService> home;
   std::vector<std::unique_ptr<TrianaService>> workers;
 };

@@ -18,7 +18,7 @@
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
 #include "dsp/stats.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 
 using namespace cg;
 
@@ -99,21 +99,19 @@ int main() {
 
   // Live migration on the service stack: AccumStat state survives.
   {
-    net::SimNetwork net({}, 1);
-    auto clock = [&net] { return net.now(); };
-    auto sched = [&net](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    net::SimBackend be({}, 1);
+    auto clock = be.clock();
+    auto sched = be.scheduler();
     core::ServiceConfig hc;
     hc.peer_id = "home";
-    core::TrianaService home(net.add_node(), clock, sched, registry, hc);
+    core::TrianaService home(be.add_node(), clock, sched, registry, hc);
     std::vector<std::unique_ptr<core::TrianaService>> ws;
     std::vector<net::Endpoint> eps;
     for (int i = 0; i < 2; ++i) {
       core::ServiceConfig cfg;
       cfg.peer_id = "w" + std::to_string(i);
       ws.push_back(std::make_unique<core::TrianaService>(
-          net.add_node(), clock, sched, registry, cfg));
+          be.add_node(), clock, sched, registry, cfg));
       home.node().add_neighbor(ws.back()->endpoint());
       ws.back()->node().add_neighbor(home.endpoint());
       eps.push_back(ws.back()->endpoint());
@@ -142,15 +140,15 @@ int main() {
 
     core::TrianaController ctl(home);
     auto run = ctl.distribute(g, "G", {eps[0]});
-    net.run_all();
+    be.net().run_all();
     ctl.tick(*run, 10);
-    net.run_all();
+    be.net().run_all();
 
     bool migrated = false;
     ctl.migrate(run, 0, eps[1], [&](bool ok) { migrated = ok; });
-    net.run_all();
+    be.net().run_all();
     ctl.tick(*run, 10);
-    net.run_all();
+    be.net().run_all();
 
     auto* rt1 = ws[1]->job_runtime(run->remote_jobs[0]);
     auto* acc =
@@ -173,21 +171,19 @@ int main() {
               "recoveries", "ckpts taken");
 
   for (const bool supervised : {false, true}) {
-    net::SimNetwork simnet({}, 1);
-    auto clock = [&simnet] { return simnet.now(); };
-    auto sched = [&simnet](double d, std::function<void()> fn) {
-      simnet.schedule(d, std::move(fn));
-    };
+    net::SimBackend be({}, 1);
+    auto clock = be.clock();
+    auto sched = be.scheduler();
     core::ServiceConfig hc;
     hc.peer_id = "home";
-    core::TrianaService home(simnet.add_node(), clock, sched, registry, hc);
+    core::TrianaService home(be.add_node(), clock, sched, registry, hc);
     std::vector<std::unique_ptr<core::TrianaService>> ws;
     std::vector<net::Endpoint> eps;
     for (int i = 0; i < 3; ++i) {  // w0, w1 active; w2 spare
       core::ServiceConfig cfg;
       cfg.peer_id = "w" + std::to_string(i);
       ws.push_back(std::make_unique<core::TrianaService>(
-          simnet.add_node(), clock, sched, registry, cfg));
+          be.add_node(), clock, sched, registry, cfg));
       home.node().add_neighbor(ws.back()->endpoint());
       ws.back()->node().add_neighbor(home.endpoint());
       eps.push_back(ws.back()->endpoint());
@@ -211,7 +207,7 @@ int main() {
 
     core::TrianaController ctl(home);
     auto run = ctl.distribute(g, "G", {eps[0], eps[1]});
-    simnet.run_all();
+    be.net().run_all();
 
     std::shared_ptr<core::RunSupervisor> sup;
     if (supervised) {
@@ -226,10 +222,10 @@ int main() {
 
     // One item every 2 s for 240 s; worker w0 (sim node 1) dies at t=30.
     for (int i = 0; i < 120; ++i) {
-      simnet.schedule(2.0 * i, [&ctl, run] { ctl.tick(*run, 1); });
+      be.schedule(2.0 * i, [&ctl, run] { ctl.tick(*run, 1); });
     }
-    simnet.schedule(30.0, [&simnet] { simnet.set_up(1, false); });
-    simnet.run_until(260.0);
+    be.schedule(30.0, [&be] { be.set_up(1, false); });
+    be.run_until(260.0);
 
     auto* sink = ctl.home_runtime(*run)->unit_as<core::NullSinkUnit>("Sink");
     std::printf("%-16s %-16llu %-14llu %-12llu\n",

@@ -44,7 +44,7 @@
 #include "churn/availability.hpp"
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/http_server.hpp"
 #include "obs/obs.hpp"
 
@@ -116,16 +116,16 @@ TaskGraph farm_graph() {
 /// Turn an availability trace (relative to the churn window) into
 /// scheduled set_up toggles: down in every gap, forced back up when the
 /// drain begins so zombies return to be fenced and acks flush.
-void apply_trace(net::SimNetwork& net, std::uint32_t node,
+void apply_trace(net::NetworkBackend& be, std::uint32_t node,
                  const churn::Trace& t, double t0, double window_s) {
   const auto down_at = [&](double rel) {
-    if (rel < window_s) net.schedule(t0 + rel, [&net, node] {
-      net.set_up(node, false);
+    if (rel < window_s) be.schedule(t0 + rel, [&be, node] {
+      be.set_up(node, false);
     });
   };
   const auto up_at = [&](double rel) {
-    if (rel < window_s) net.schedule(t0 + rel, [&net, node] {
-      net.set_up(node, true);
+    if (rel < window_s) be.schedule(t0 + rel, [&be, node] {
+      be.set_up(node, true);
     });
   };
   if (t.empty()) {
@@ -140,16 +140,14 @@ void apply_trace(net::SimNetwork& net, std::uint32_t node,
       if (i + 1 < t.size()) up_at(t[i + 1].start);
     }
   }
-  net.schedule(t0 + window_s, [&net, node] { net.set_up(node, true); });
+  be.schedule(t0 + window_s, [&be, node] { be.set_up(node, true); });
 }
 
 Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
                  obs::Tracer* tracer) {
-  net::SimNetwork net({}, spec.seed);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, spec.seed);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   // Data must survive multi-round outages: generous retry budget, like the
   // chaos tests.
   net::ReliableConfig rel;
@@ -159,14 +157,14 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   ServiceConfig hc;
   hc.peer_id = "home";
   hc.reliable = rel;
-  TrianaService home(net.add_node(), clock, sched, reg(), hc);
+  TrianaService home(be.add_node(), clock, sched, reg(), hc);
   std::vector<std::unique_ptr<TrianaService>> peers;  // workers then spares
   std::vector<net::Endpoint> worker_eps, spare_eps;
   for (std::size_t i = 0; i < spec.workers + spec.spares; ++i) {
     ServiceConfig cfg;
     cfg.peer_id = (i < spec.workers ? "w" : "s") + std::to_string(i);
     cfg.reliable = rel;
-    peers.push_back(std::make_unique<TrianaService>(net.add_node(), clock,
+    peers.push_back(std::make_unique<TrianaService>(be.add_node(), clock,
                                                     sched, reg(), cfg));
     home.node().add_neighbor(peers.back()->endpoint());
     peers.back()->node().add_neighbor(home.endpoint());
@@ -175,7 +173,7 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   }
   const std::string scope = "e12." + spec.scenario;
   if (obs_registry != nullptr) {
-    net.set_obs(*obs_registry, tracer, scope + ".net");
+    be.net().set_obs(*obs_registry, tracer, scope + ".net");
     home.set_obs(*obs_registry, tracer, scope + ".home");
     // Every peer's transport must be bound too, or an exported trace has
     // receives with no matching sends and fails validation.
@@ -211,11 +209,11 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   dsp::Rng churn_rng(spec.seed ^ 0xC4A2u);
   for (std::size_t i = 0; i < peers.size(); ++i) {
     const auto trace = model.sample(spec.churn_s, churn_rng);
-    apply_trace(net, static_cast<std::uint32_t>(i + 1), trace, spec.warmup_s,
+    apply_trace(be, static_cast<std::uint32_t>(i + 1), trace, spec.warmup_s,
                 spec.churn_s);
   }
 
-  net.run_until(5.0);
+  be.run_until(5.0);
   if (!run->deployed_ok()) {
     std::fprintf(stderr, "bench_churn_campaign: deploy failed (%s)\n",
                  run->errors.empty() ? "missing acks"
@@ -231,12 +229,12 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   row.peers = 1 + peers.size();
   for (double t = spec.warmup_s; t < spec.warmup_s + spec.churn_s - 10.0;
        t += spec.burst_period_s) {
-    net.schedule(t, [&ctl, &run, &spec] { ctl.tick(*run, spec.burst_items); });
+    be.schedule(t, [&ctl, &run, &spec] { ctl.tick(*run, spec.burst_items); });
     row.items_expected += spec.burst_items;
   }
 
   const double horizon = spec.warmup_s + spec.churn_s + spec.drain_s;
-  net.run_until(horizon);
+  be.run_until(horizon);
   sup->stop();
 
   row.items_done =
@@ -272,7 +270,7 @@ Row run_campaign(const CampaignSpec& spec, obs::Registry* obs_registry,
   // Close every deploy span before a trace export: cancel the remotes and
   // let the cancels (and any zombie fences) drain.
   ctl.shutdown(*run);
-  net.run_until(horizon + 30.0);
+  be.run_until(horizon + 30.0);
   return row;
 }
 

@@ -20,7 +20,7 @@
 #include <string>
 
 #include "dsp/stats.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/json.hpp"
 #include "p2p/discovery.hpp"
 
@@ -30,12 +30,12 @@ namespace {
 
 struct Overlay {
   explicit Overlay(std::size_t n, std::uint64_t seed)
-      : net({}, seed), rng(seed) {
+      : be({}, seed), rng(seed) {
     nodes.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      auto& t = net.add_node();
+      auto& t = be.add_node();
       nodes.push_back(std::make_unique<p2p::PeerNode>(
-          t, [this] { return net.now(); },
+          t, be.clock(),
           p2p::PeerConfig{.peer_id = "p" + std::to_string(i)}));
     }
     // Ring + random chords: connected, mean degree ~4.
@@ -51,7 +51,7 @@ struct Overlay {
     nodes[b]->add_neighbor(nodes[a]->endpoint());
   }
 
-  net::SimNetwork net;
+  net::SimBackend be;
   dsp::Rng rng;
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
 };
@@ -87,19 +87,20 @@ Outcome run_flooding(std::size_t n, int ttl, std::uint64_t seed) {
   double total_msgs = 0;
   for (int qn = 0; qn < kQueries; ++qn) {
     const std::size_t origin = ov.rng.below(n);
-    msgs0 = ov.net.stats().messages_sent;
-    const double t0 = ov.net.now();
+    msgs0 = ov.be.net().stats().messages_sent;
+    const double t0 = ov.be.now();
     bool hit = false;
     double hit_at = 0;
     ov.nodes[origin]->discover_flood(
         wanted_query(), ttl, [&](const std::vector<p2p::Advertisement>&) {
           if (!hit) {
             hit = true;
-            hit_at = ov.net.now();
+            hit_at = ov.be.now();
           }
         });
-    ov.net.run_all();
-    total_msgs += static_cast<double>(ov.net.stats().messages_sent - msgs0);
+    ov.be.net().run_all();
+    total_msgs +=
+        static_cast<double>(ov.be.net().stats().messages_sent - msgs0);
     if (hit) {
       ++successes;
       latency.add((hit_at - t0) * 1000.0);
@@ -119,17 +120,15 @@ Outcome run_expanding_ring(std::size_t n, std::uint64_t seed) {
   opt.initial_ttl = 2;
   opt.max_ttl = 64;
   opt.ring_timeout_s = 2.0;
-  auto sched = [&](double d, std::function<void()> fn) {
-    ov.net.schedule(d, std::move(fn));
-  };
+  auto sched = ov.be.scheduler();
 
   int successes = 0;
   dsp::RunningStats latency;
   double total_msgs = 0;
   for (int qn = 0; qn < kQueries; ++qn) {
     const std::size_t origin = ov.rng.below(n);
-    const std::uint64_t msgs0 = ov.net.stats().messages_sent;
-    const double t0 = ov.net.now();
+    const std::uint64_t msgs0 = ov.be.net().stats().messages_sent;
+    const double t0 = ov.be.now();
     bool hit = false;
     double hit_at = 0;
     auto search = std::make_shared<p2p::ExpandingRingSearch>(
@@ -137,11 +136,12 @@ Outcome run_expanding_ring(std::size_t n, std::uint64_t seed) {
     search->start([&](p2p::SearchResult r) {
       if (!r.adverts.empty()) {
         hit = true;
-        hit_at = ov.net.now();
+        hit_at = ov.be.now();
       }
     });
-    ov.net.run_all();
-    total_msgs += static_cast<double>(ov.net.stats().messages_sent - msgs0);
+    ov.be.net().run_all();
+    total_msgs +=
+        static_cast<double>(ov.be.net().stats().messages_sent - msgs0);
     if (hit) {
       ++successes;
       latency.add((hit_at - t0) * 1000.0);
@@ -173,27 +173,28 @@ Outcome run_rendezvous(std::size_t n, std::uint64_t seed) {
   ov.nodes[target]->publish_local(advert);
   ov.nodes[target]->publish_to(ov.nodes[target]->rendezvous().front(),
                                {advert});
-  ov.net.run_all();
-  const std::uint64_t publish_msgs = ov.net.stats().messages_sent;
+  ov.be.net().run_all();
+  const std::uint64_t publish_msgs = ov.be.net().stats().messages_sent;
 
   int successes = 0;
   dsp::RunningStats latency;
   double total_msgs = 0;
   for (int qn = 0; qn < kQueries; ++qn) {
     const std::size_t origin = n_rdv + ov.rng.below(n - n_rdv);
-    const std::uint64_t msgs0 = ov.net.stats().messages_sent;
-    const double t0 = ov.net.now();
+    const std::uint64_t msgs0 = ov.be.net().stats().messages_sent;
+    const double t0 = ov.be.now();
     bool hit = false;
     double hit_at = 0;
     ov.nodes[origin]->discover_rendezvous(
         wanted_query(), [&](const std::vector<p2p::Advertisement>&) {
           if (!hit) {
             hit = true;
-            hit_at = ov.net.now();
+            hit_at = ov.be.now();
           }
         });
-    ov.net.run_all();
-    total_msgs += static_cast<double>(ov.net.stats().messages_sent - msgs0);
+    ov.be.net().run_all();
+    total_msgs +=
+        static_cast<double>(ov.be.net().stats().messages_sent - msgs0);
     if (hit) {
       ++successes;
       latency.add((hit_at - t0) * 1000.0);

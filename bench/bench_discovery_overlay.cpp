@@ -38,7 +38,7 @@
 
 #include "dsp/rng.hpp"
 #include "dsp/stats.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -85,21 +85,21 @@ std::vector<p2p::Contact> sample_buckets(
   return out;
 }
 
-/// N peers sharing one SimNetwork, with an OverlayNode per peer and
+/// N peers sharing one SimBackend, with an OverlayNode per peer and
 /// (optionally) a flooding graph. The sorted id list is shared through a
 /// shared_ptr so the per-node OverlayConfig copies stay O(1).
 struct Swarm {
   Swarm(std::size_t n, std::uint64_t seed, bool wire_flood_graph)
-      : net({}, seed), rng(seed) {
+      : be({}, seed), rng(seed) {
     nodes.reserve(n);
     overlays.reserve(n);
     auto sorted = std::make_shared<
         std::vector<std::pair<std::uint64_t, net::Endpoint>>>();
     sorted->reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      auto& t = net.add_node();
+      auto& t = be.add_node();
       nodes.push_back(std::make_unique<p2p::PeerNode>(
-          t, [this] { return net.now(); },
+          t, be.clock(),
           p2p::PeerConfig{.peer_id = "p" + std::to_string(i)}));
       sorted->emplace_back(p2p::node_id_of(nodes.back()->id()).bits,
                            nodes.back()->endpoint());
@@ -109,9 +109,7 @@ struct Swarm {
     cfg.bootstrap = [sorted](p2p::NodeId self) {
       return sample_buckets(self, *sorted, 2);
     };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+    auto sched = be.scheduler();
     for (std::size_t i = 0; i < n; ++i) {
       overlays.push_back(
           std::make_unique<p2p::OverlayNode>(*nodes[i], sched, cfg));
@@ -135,7 +133,7 @@ struct Swarm {
   /// Providers publish into peer caches (flooding's plane) and onto the
   /// shard federation (the overlay's). Returns overlay publish messages.
   std::uint64_t plant_adverts() {
-    const std::uint64_t msgs0 = net.stats().messages_sent;
+    const std::uint64_t msgs0 = be.net().stats().messages_sent;
     const std::size_t n = nodes.size();
     for (std::size_t p = 0; p < kProviders; ++p) {
       const std::size_t who = (p * (n / kProviders)) % n;
@@ -147,11 +145,11 @@ struct Swarm {
       overlays[who]->publish({a});
       providers.push_back(who);
     }
-    net.run_all();
-    return net.stats().messages_sent - msgs0;
+    be.net().run_all();
+    return be.net().stats().messages_sent - msgs0;
   }
 
-  net::SimNetwork net;
+  net::SimBackend be;
   dsp::Rng rng;
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   std::vector<std::unique_ptr<p2p::OverlayNode>> overlays;
@@ -179,19 +177,20 @@ Outcome run_flooding(Swarm& s) {
   double total_msgs = 0;
   for (int qn = 0; qn < kQueries; ++qn) {
     const std::size_t origin = s.rng.below(n);
-    const std::uint64_t msgs0 = s.net.stats().messages_sent;
-    const double t0 = s.net.now();
+    const std::uint64_t msgs0 = s.be.net().stats().messages_sent;
+    const double t0 = s.be.now();
     bool hit = false;
     double hit_at = 0;
     s.nodes[origin]->discover_flood(
         wanted_query(), 64, [&](const std::vector<p2p::Advertisement>&) {
           if (!hit) {
             hit = true;
-            hit_at = s.net.now();
+            hit_at = s.be.now();
           }
         });
-    s.net.run_all();
-    total_msgs += static_cast<double>(s.net.stats().messages_sent - msgs0);
+    s.be.net().run_all();
+    total_msgs +=
+        static_cast<double>(s.be.net().stats().messages_sent - msgs0);
     if (hit) {
       ++successes;
       lat.push_back((hit_at - t0) * 1000.0);
@@ -211,17 +210,18 @@ Outcome run_overlay(Swarm& s) {
   double total_msgs = 0;
   for (int qn = 0; qn < kQueries; ++qn) {
     const std::size_t origin = s.rng.below(n);
-    const std::uint64_t msgs0 = s.net.stats().messages_sent;
-    const double t0 = s.net.now();
+    const std::uint64_t msgs0 = s.be.net().stats().messages_sent;
+    const double t0 = s.be.now();
     bool ok = false;
     double done_at = 0;
     s.overlays[origin]->find(
         wanted_query(), SIZE_MAX, [&](std::vector<p2p::Advertisement> as) {
           ok = !as.empty();
-          done_at = s.net.now();
+          done_at = s.be.now();
         });
-    s.net.run_all();
-    total_msgs += static_cast<double>(s.net.stats().messages_sent - msgs0);
+    s.be.net().run_all();
+    total_msgs +=
+        static_cast<double>(s.be.net().stats().messages_sent - msgs0);
     if (ok) {
       ++successes;
       lat.push_back((done_at - t0) * 1000.0);
@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
     tiny.plant_adverts();
     tiny.overlays[0]->find(wanted_query(), SIZE_MAX,
                            [](std::vector<p2p::Advertisement>) {});
-    tiny.net.run_all();
+    tiny.be.net().run_all();
     const std::string jsonl = tracer.to_jsonl();
     if (jsonl.empty()) {
       std::printf("\ntracing compiled out (CONGRID_OBS=OFF); %s not written\n",

@@ -31,7 +31,7 @@
 #include "apps/galaxy/units.hpp"
 #include "core/engine/runtime.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/obs.hpp"
 #include "rm/thread_pool.hpp"
 
@@ -62,8 +62,8 @@ double simulated_makespan(std::size_t workers, std::size_t frames,
                           double compute_s, std::size_t input_bytes,
                           std::size_t result_bytes) {
   net::LinkParams lp;  // consumer DSL defaults
-  net::SimNetwork net(lp, 1);
-  (void)net.add_node();  // 0 = controller
+  net::SimBackend be(lp, 1);
+  (void)be.add_node();  // 0 = controller
 
   struct Worker {
     double free_at = 0;

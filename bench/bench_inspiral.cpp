@@ -30,7 +30,7 @@
 #include "core/engine/runtime.hpp"
 #include "core/unit/builtin.hpp"
 #include "dsp/stats.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/obs.hpp"
 #include "rm/batch_queue.hpp"
 
@@ -321,25 +321,21 @@ int main(int argc, char** argv) {
   std::printf("%-34s %-16s %-18s\n", "substrate", "makespan (d)",
               "mean chunk latency");
   for (double overhead : {0.0, 300.0, 3600.0}) {
-    net::SimNetwork sim({}, 1);
+    net::SimBackend be({}, 1);
     rm::BatchQueueOptions opt;
     opt.slots = 20;
     opt.mean_queue_overhead_s = overhead;
-    rm::SimBatchQueue queue(
-        [&sim](double d, std::function<void()> fn) {
-          sim.schedule(d, std::move(fn));
-        },
-        [&sim] { return sim.now(); }, opt, 11);
+    rm::SimBatchQueue queue(be.scheduler(), be.clock(), opt, 11);
     dsp::RunningStats latency;
     double makespan = 0;
     for (int c = 0; c < 200; ++c) {
       const double submitted = 0.0;
       queue.submit(chunk_cpu_s, [&, submitted] {
-        latency.add(sim.now() - submitted);
-        makespan = std::max(makespan, sim.now());
+        latency.add(be.now() - submitted);
+        makespan = std::max(makespan, be.now());
       });
     }
-    sim.run_all();
+    be.net().run_all();
     char label[64];
     std::snprintf(label, sizeof(label),
                   overhead == 0.0 ? "cluster, no queue overhead"

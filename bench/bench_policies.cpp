@@ -23,7 +23,7 @@
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/obs.hpp"
 
 using namespace cg;
@@ -68,29 +68,27 @@ struct Result {
 Result run_policy(const std::string& policy, int samples, int items,
                   obs::Registry* obs_registry = nullptr,
                   obs::Tracer* tracer = nullptr) {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
 
   core::ServiceConfig hc;
   hc.peer_id = "home";
-  core::TrianaService home(net.add_node(), clock, sched, registry, hc);
+  core::TrianaService home(be.add_node(), clock, sched, registry, hc);
   std::vector<std::unique_ptr<core::TrianaService>> workers;
   std::vector<net::Endpoint> eps;
   for (int i = 0; i < 3; ++i) {
     core::ServiceConfig cfg;
     cfg.peer_id = "w" + std::to_string(i);
     workers.push_back(std::make_unique<core::TrianaService>(
-        net.add_node(), clock, sched, registry, cfg));
+        be.add_node(), clock, sched, registry, cfg));
     home.node().add_neighbor(workers.back()->endpoint());
     workers.back()->node().add_neighbor(home.endpoint());
     eps.push_back(workers.back()->endpoint());
   }
   if (obs_registry != nullptr) {
-    net.set_obs(*obs_registry, tracer, "policy");
+    be.net().set_obs(*obs_registry, tracer, "policy");
     home.set_obs(*obs_registry, tracer, "home");
     for (std::size_t i = 0; i < workers.size(); ++i) {
       workers[i]->set_obs(*obs_registry, tracer, "w" + std::to_string(i));
@@ -102,19 +100,19 @@ Result run_policy(const std::string& policy, int samples, int items,
 
   core::TrianaController ctl(home);
   auto run = ctl.distribute(g, "G", eps);
-  net.run_all();
+  be.net().run_all();
   if (!run->deployed_ok()) {
     std::fprintf(stderr, "deploy failed (%s)\n", policy.c_str());
     std::exit(1);
   }
 
   ctl.tick(*run, static_cast<std::uint64_t>(items));
-  net.run_all();
+  be.net().run_all();
 
   Result r;
-  r.messages = net.stats().messages_sent;
-  r.megabytes = static_cast<double>(net.stats().bytes_sent) / 1e6;
-  r.completion_s = net.now();
+  r.messages = be.net().stats().messages_sent;
+  r.megabytes = static_cast<double>(be.net().stats().bytes_sent) / 1e6;
+  r.completion_s = be.now();
   r.items_done =
       ctl.home_runtime(*run)->unit_as<core::NullSinkUnit>("Sink")->received();
   for (auto& w : workers) {
@@ -126,7 +124,7 @@ Result run_policy(const std::string& policy, int samples, int items,
   // After the stats are read: cancel remote jobs and close the run's trace
   // span so an exported trace has no dangling root.
   ctl.shutdown(*run);
-  net.run_all();
+  be.net().run_all();
   return r;
 }
 

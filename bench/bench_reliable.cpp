@@ -5,9 +5,9 @@
 // loses deploys, acks and cancels in proportion to the frame loss rate;
 // ReliableTransport buys effectively-once delivery with retransmissions.
 //
-// Setup: two peers on a simulated DSL link; a FaultInjector imposes a swept
-// frame-loss probability (applied independently to data, envelopes and
-// acks). The sender pushes kMessages control frames, paced so retry storms
+// Setup: two peers on a simulated DSL link; an armed FaultPlan imposes a
+// swept frame-loss probability (applied independently to data, envelopes
+// and acks). The sender pushes kMessages control frames, paced so retry storms
 // from one message do not starve the next. Reported per loss point: raw
 // (unreliable) delivery rate for the same fault stream, reliable delivery
 // rate, retransmissions per message, duplicate envelopes suppressed at the
@@ -23,9 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "net/fault.hpp"
+#include "net/backend.hpp"
 #include "net/reliable.hpp"
-#include "net/sim_network.hpp"
 #include "obs/obs.hpp"
 
 using namespace cg;
@@ -66,33 +65,30 @@ std::string loss_scope(double loss) {
 
 /// Fire-and-forget baseline: same link, same fault plan, plain transports.
 double run_raw(double loss, std::uint64_t seed) {
-  net::SimNetwork net({}, seed);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
+  net::SimBackend be({}, seed);
+  auto& a = be.add_node();
+  auto& b = be.add_node();
 
   net::FaultPlan plan;
   plan.default_link.drop = loss;
-  net::FaultInjector inj(net, plan, seed);
-  inj.arm();
+  be.arm_faults(plan, seed);
 
   int got = 0;
   b.set_handler([&](const net::Endpoint&, serial::Frame) { ++got; });
   for (int i = 0; i < g_messages; ++i) {
-    net.schedule(i * kPaceS, [&, i] { a.send(b.local(), indexed_frame(i)); });
+    be.schedule(i * kPaceS, [&, i] { a.send(b.local(), indexed_frame(i)); });
   }
-  net.run_all();
+  be.net().run_all();
   return static_cast<double>(got) / g_messages;
 }
 
 Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
                  obs::Tracer* tracer = nullptr) {
-  net::SimNetwork net({}, seed);
-  auto& ta = net.add_node();
-  auto& tb = net.add_node();
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, seed);
+  auto& ta = be.add_node();
+  auto& tb = be.add_node();
+  auto clock = be.clock();
+  auto sched = be.scheduler();
 
   net::ReliableConfig cfg;
   cfg.seed = seed;
@@ -100,7 +96,7 @@ Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
   net::ReliableTransport b(tb, clock, sched, cfg);
 
   const std::string scope = loss_scope(loss);
-  net.set_obs(registry, tracer, scope);
+  be.net().set_obs(registry, tracer, scope);
   a.set_obs(registry, tracer, scope + ".a");
   b.set_obs(registry, tracer, scope + ".b");
   // Traced pass: stamp every envelope with a fixed trace id so
@@ -109,23 +105,22 @@ Row run_reliable(double loss, std::uint64_t seed, obs::Registry& registry,
 
   net::FaultPlan plan;
   plan.default_link.drop = loss;
-  net::FaultInjector inj(net, plan, seed);
-  inj.arm();
+  be.arm_faults(plan, seed);
 
   std::vector<double> sent_at(g_messages, 0.0);
   int got = 0;
   double latency_sum = 0;
   b.set_handler([&](const net::Endpoint&, serial::Frame f) {
     ++got;
-    latency_sum += net.now() - sent_at[frame_index(f)];
+    latency_sum += be.now() - sent_at[frame_index(f)];
   });
   for (int i = 0; i < g_messages; ++i) {
-    net.schedule(i * kPaceS, [&, i] {
-      sent_at[i] = net.now();
+    be.schedule(i * kPaceS, [&, i] {
+      sent_at[i] = be.now();
       a.send(b.local(), indexed_frame(i));
     });
   }
-  net.run_all();
+  be.net().run_all();
 
   Row r;
   r.loss = loss;

@@ -16,29 +16,27 @@
 #include "core/dist/policy.hpp"
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "sandbox/trust.hpp"
 
 using namespace cg;
 
 int main() {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
 
   core::ServiceConfig hc;
   hc.peer_id = "scientist";
-  core::TrianaService home(net.add_node(), clock, sched, registry, hc);
+  core::TrianaService home(be.add_node(), clock, sched, registry, hc);
   std::vector<std::unique_ptr<core::TrianaService>> vols;
   std::vector<net::Endpoint> eps;
   for (int i = 0; i < 3; ++i) {
     core::ServiceConfig cfg;
     cfg.peer_id = "volunteer-" + std::to_string(i);
     vols.push_back(std::make_unique<core::TrianaService>(
-        net.add_node(), clock, sched, registry, cfg));
+        be.add_node(), clock, sched, registry, cfg));
     home.node().add_neighbor(vols.back()->endpoint());
     vols.back()->node().add_neighbor(home.endpoint());
     vols.back()->announce();
@@ -73,7 +71,7 @@ int main() {
   // Wire the dissent stream too (the planner exposes G.out0 = Vote).
   // distribute() already deployed; attach by adding a reactive local tap:
   // simplest is to read the Vote unit directly after ticking.
-  net.run_all();
+  be.net().run_all();
   if (!run->deployed_ok()) {
     std::fprintf(stderr, "deploy failed\n");
     return 1;
@@ -93,13 +91,13 @@ int main() {
                        [&](const core::DeployAckMsg& ack) {
                          run->remote_jobs[1] = ack.job_id;
                        });
-    net.run_all();
+    be.net().run_all();
     std::printf("volunteer-1 silently tampered with its module\n\n");
   }
 
   const int kItems = 8;
   controller.tick(*run, kItems);
-  net.run_all();
+  be.net().run_all();
 
   auto* home_rt = controller.home_runtime(*run);
   auto* result = home_rt->unit_as<core::GrapherUnit>("Result");
@@ -138,7 +136,7 @@ int main() {
                               [&](std::vector<net::Endpoint> f) {
                                 found = std::move(f);
                               });
-  net.run_all();
+  be.net().run_all();
   std::printf("\nnext discovery returns %zu volunteers (cheater excluded)\n",
               found.size());
   return correct == kItems && found.size() == 2 ? 0 : 1;

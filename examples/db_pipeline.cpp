@@ -11,22 +11,20 @@
 #include "apps/db/units.hpp"
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 
 using namespace cg;
 
 int main() {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
   db::register_db_units(registry);
 
   core::ServiceConfig home_cfg;
   home_cfg.peer_id = "user";
-  core::TrianaService home(net.add_node(), clock, sched, registry, home_cfg);
+  core::TrianaService home(be.add_node(), clock, sched, registry, home_cfg);
 
   // Four service-provider peers at "different geographic sites".
   std::vector<std::unique_ptr<core::TrianaService>> sites;
@@ -35,7 +33,7 @@ int main() {
     cfg.peer_id = "site-" + std::to_string(i);
     cfg.capabilities["cpu_mhz"] = std::to_string(1200 + 400 * i);
     sites.push_back(std::make_unique<core::TrianaService>(
-        net.add_node(), clock, sched, registry, cfg));
+        be.add_node(), clock, sched, registry, cfg));
     home.node().add_neighbor(sites.back()->endpoint());
     sites.back()->node().add_neighbor(home.endpoint());
     sites.back()->announce();
@@ -52,7 +50,7 @@ int main() {
                               [&](std::vector<net::Endpoint> eps) {
                                 providers = std::move(eps);
                               });
-  net.run_all();
+  be.net().run_all();
   std::printf("discovered %zu capable provider peers\n", providers.size());
 
   // The 4-stage pipeline group.
@@ -89,7 +87,7 @@ int main() {
 
   home.publish_graph_modules(g);
   auto run = controller.distribute(g, "Pipeline", providers);
-  net.run_all();
+  be.net().run_all();
   if (!run->deployed_ok()) {
     std::fprintf(stderr, "deploy failed: %s\n",
                  run->errors.empty() ? "?" : run->errors[0].c_str());
@@ -109,7 +107,7 @@ int main() {
     for (const auto& job : run->remote_jobs) {
       for (auto& site : sites) site->tick_job(job);  // no-op on non-hosts
     }
-    net.run_all();
+    be.net().run_all();
   }
 
   auto* summary =

@@ -11,7 +11,7 @@
 #include "apps/galaxy/units.hpp"
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 
 using namespace cg;
 
@@ -50,17 +50,15 @@ double frame_brightness(const core::ImageFrame& f) {
 }  // namespace
 
 int main() {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
   galaxy::register_galaxy_units(registry);
 
   core::ServiceConfig home_cfg;
   home_cfg.peer_id = "visualiser";
-  core::TrianaService home(net.add_node(), clock, sched, registry, home_cfg);
+  core::TrianaService home(be.add_node(), clock, sched, registry, home_cfg);
 
   std::vector<std::unique_ptr<core::TrianaService>> nodes;
   std::vector<net::Endpoint> workers;
@@ -68,7 +66,7 @@ int main() {
     core::ServiceConfig cfg;
     cfg.peer_id = "render-node-" + std::to_string(i);
     nodes.push_back(std::make_unique<core::TrianaService>(
-        net.add_node(), clock, sched, registry, cfg));
+        be.add_node(), clock, sched, registry, cfg));
     home.node().add_neighbor(nodes.back()->endpoint());
     nodes.back()->node().add_neighbor(home.endpoint());
     workers.push_back(nodes.back()->endpoint());
@@ -81,13 +79,13 @@ int main() {
     core::TaskGraph g = animation_graph(kFrames, azimuth);
     home.publish_graph_modules(g);
     auto run = controller.distribute(g, "Farm", workers);
-    net.run_all();
+    be.net().run_all();
     if (!run->deployed_ok()) {
       std::fprintf(stderr, "deploy failed\n");
       return 1;
     }
     controller.tick(*run, kFrames);
-    net.run_all();
+    be.net().run_all();
 
     auto* anim =
         controller.home_runtime(*run)->unit_as<galaxy::AnimationSinkUnit>(
@@ -107,7 +105,7 @@ int main() {
                           ->firings_of("Render")));
     }
     controller.shutdown(*run);
-    net.run_all();
+    be.net().run_all();
   }
   return 0;
 }

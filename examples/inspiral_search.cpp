@@ -11,24 +11,22 @@
 #include "apps/gw/units.hpp"
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 
 using namespace cg;
 
 int main() {
   // -- the consumer grid: 1 controller + 4 volunteer services -------------
-  net::SimNetwork net({}, /*seed=*/1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, /*seed=*/1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::UnitRegistry registry = core::UnitRegistry::with_builtins();
   gw::register_gw_units(registry);
 
   core::ServiceConfig home_cfg;
   home_cfg.peer_id = "controller";
   home_cfg.sandbox_policy.max_cpu_seconds = 1e9;
-  core::TrianaService home(net.add_node(), clock, sched, registry, home_cfg);
+  core::TrianaService home(be.add_node(), clock, sched, registry, home_cfg);
 
   std::vector<std::unique_ptr<core::TrianaService>> volunteers;
   for (int i = 0; i < 4; ++i) {
@@ -36,7 +34,7 @@ int main() {
     cfg.peer_id = "volunteer-" + std::to_string(i);
     cfg.sandbox_policy.max_cpu_seconds = 1e9;  // inspiral is CPU-hungry
     volunteers.push_back(std::make_unique<core::TrianaService>(
-        net.add_node(), clock, sched, registry, cfg));
+        be.add_node(), clock, sched, registry, cfg));
   }
   std::vector<net::Endpoint> workers;
   for (auto& v : volunteers) {
@@ -76,7 +74,7 @@ int main() {
 
   core::TrianaController controller(home);
   auto run = controller.distribute(g, "Scan", workers);
-  net.run_all();
+  be.net().run_all();
   if (!run->deployed_ok()) {
     std::fprintf(stderr, "deploy failed: %s\n",
                  run->errors.empty() ? "?" : run->errors[0].c_str());
@@ -87,7 +85,7 @@ int main() {
 
   const int kChunks = 12;
   controller.tick(*run, kChunks);
-  net.run_all();
+  be.net().run_all();
 
   auto* hits = controller.home_runtime(*run)->unit_as<core::StatSinkUnit>(
       "Hits");

@@ -17,6 +17,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One way to build a network: outside src/net/, worlds come from a
+# NetworkBackend (net/backend.hpp), which also owns the clock, the timers
+# and fault injection. Fail on a hand-built SimNetwork or FaultInjector, or
+# a hand-written TimerQueue class. SimNetwork's own unit tests and its
+# message-rate micro-benchmark measure the simulator itself and stay exempt.
+seam_pattern='(SimNetwork|FaultInjector)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[({;]'
+seam_pattern+='|make_(unique|shared)<[^>]*(SimNetwork|FaultInjector)[[:space:]]*>'
+seam_pattern+='|new[[:space:]]+[A-Za-z_:]*(SimNetwork|FaultInjector)[[:space:]]*[({]'
+seam_pattern+='|(class|struct)[[:space:]]+TimerQueue[^A-Za-z0-9_]'
+if grep -rnE --include='*.cpp' --include='*.hpp' "${seam_pattern}" \
+     src tests bench examples tools perfbench |
+   grep -vE '^(src/net/|tests/test_net\.cpp:|bench/bench_micro\.cpp:)'; then
+  echo "tier-1: build worlds through net::SimBackend / TcpLoopbackBackend" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" == "tsan" ]]; then
   TSAN_DIR="${2:-build-tsan}"
   echo "== tier-1: TSan pass over the parallel engine (${TSAN_DIR}) =="

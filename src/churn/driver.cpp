@@ -2,8 +2,9 @@
 
 namespace cg::churn {
 
-void apply_trace(net::SimNetwork& net, std::uint32_t node, const Trace& trace,
-                 obs::Registry* registry, obs::Tracer* tracer) {
+void apply_trace(net::NetworkBackend& net, std::uint32_t node,
+                 const Trace& trace, obs::Registry* registry,
+                 obs::Tracer* tracer) {
   obs::CounterRef ups, downs;
   if (registry) {
     ups = registry->counter("churn.node_up");
@@ -30,7 +31,7 @@ void apply_trace(net::SimNetwork& net, std::uint32_t node, const Trace& trace,
   }
 }
 
-Trace apply_model(net::SimNetwork& net, std::uint32_t node,
+Trace apply_model(net::NetworkBackend& net, std::uint32_t node,
                   const AvailabilityModel& model, double duration_s,
                   dsp::Rng& rng, obs::Registry* registry,
                   obs::Tracer* tracer) {

@@ -11,9 +11,10 @@
 //   * clock()/scheduler() are the ambient time functions for that world
 //     (virtual seconds for sim, wall seconds since construction for TCP);
 //   * arm_faults() applies a FaultPlan at the transport boundary: per-link
-//     drop/duplicate/delay/corrupt plus scripted crash windows, where a
-//     "crashed" node blackholes frames in both directions while its timers
-//     keep firing (matching SimNetwork::set_up);
+//     drop/duplicate/delay/corrupt decided per frame by the one
+//     FaultInjector, plus crash windows scheduled here, where a "crashed"
+//     node blackholes frames in both directions while its timers keep
+//     firing (matching SimNetwork::set_up);
 //   * run_until(t) drives I/O and timers until the backend clock passes t.
 //
 // Determinism differs by construction: the simulator replays bit-for-bit,
@@ -38,20 +39,31 @@ namespace cg::net {
 /// arm faults, then pump with run_until from one thread.
 class NetworkBackend {
  public:
+  NetworkBackend() = default;
   virtual ~NetworkBackend() = default;
+
+  NetworkBackend(const NetworkBackend&) = delete;
+  NetworkBackend& operator=(const NetworkBackend&) = delete;
 
   /// Create the transport for the next node id (0, 1, 2, ...). Owned by
   /// the backend; valid until the backend dies. Call before run_until.
   virtual Transport& add_node() = 0;
 
-  /// Ambient time functions for services living in this world.
-  virtual Clock clock() = 0;
-  virtual Scheduler scheduler() = 0;
-
   virtual double now() const = 0;
 
   /// Run `fn` after `delay_s` seconds of backend time.
   virtual void schedule(double delay_s, std::function<void()> fn) = 0;
+
+  /// Ambient time functions for services living in this world: now() and
+  /// schedule() as closures. The backend must outlive them.
+  Clock clock() {
+    return [this] { return now(); };
+  }
+  Scheduler scheduler() {
+    return [this](double d, std::function<void()> fn) {
+      schedule(d, std::move(fn));
+    };
+  }
 
   /// Drive I/O and timers until now() >= t_s.
   virtual void run_until(double t_s) = 0;
@@ -61,22 +73,33 @@ class NetworkBackend {
   /// completion instead of racing a timer.
   virtual bool run_until(double t_s, const std::function<bool()>& done) = 0;
 
-  /// Install a fault script. Crash windows are scheduled relative to the
-  /// CURRENT backend time. Call at most once, before the traffic it should
-  /// affect.
-  virtual void arm_faults(const FaultPlan& plan, std::uint64_t seed) = 0;
+  /// Install a fault script. Each crash window opens `at_s` seconds after
+  /// this call and is scheduled here, through schedule() and set_up().
+  /// Call at most once (std::logic_error otherwise), before the traffic it
+  /// should affect. A negative `at_s` throws std::invalid_argument.
+  void arm_faults(const FaultPlan& plan, std::uint64_t seed);
 
   /// What the fault machinery actually did (zeroes when never armed).
-  virtual FaultStats fault_stats() const = 0;
+  FaultStats fault_stats() const;
 
   /// Manually take a node down / bring it back (blackhole semantics).
   virtual void set_up(std::size_t node, bool up) = 0;
 
   /// "sim" or "tcp" -- for parameterised test names and bench labels.
   virtual std::string name() const = 0;
+
+ protected:
+  /// Called once by arm_faults, after faults_ is set and before any crash
+  /// window is scheduled: a backend that must hook its frame path does it
+  /// here.
+  virtual void on_faults_armed() {}
+
+  /// The armed plan's per-frame interpreter; null until arm_faults.
+  std::unique_ptr<FaultInjector> faults_;
 };
 
-/// The discrete-event world: wraps SimNetwork + FaultInjector.
+/// The discrete-event world: SimNetwork with the fault interpreter on its
+/// fault hook.
 class SimBackend final : public NetworkBackend {
  public:
   explicit SimBackend(LinkParams params = {}, std::uint64_t seed = 1)
@@ -85,32 +108,21 @@ class SimBackend final : public NetworkBackend {
   SimNetwork& net() { return net_; }
 
   Transport& add_node() override { return net_.add_node(); }
-  Clock clock() override {
-    return [this] { return net_.now(); };
-  }
-  Scheduler scheduler() override {
-    return [this](double d, std::function<void()> fn) {
-      net_.schedule(d, std::move(fn));
-    };
-  }
   double now() const override { return net_.now(); }
   void schedule(double delay_s, std::function<void()> fn) override {
     net_.schedule(delay_s, std::move(fn));
   }
   void run_until(double t_s) override { net_.run_until(t_s); }
   bool run_until(double t_s, const std::function<bool()>& done) override;
-  void arm_faults(const FaultPlan& plan, std::uint64_t seed) override;
-  FaultStats fault_stats() const override {
-    return injector_ ? injector_->stats() : FaultStats{};
-  }
   void set_up(std::size_t node, bool up) override {
     net_.set_up(static_cast<std::uint32_t>(node), up);
   }
   std::string name() const override { return "sim"; }
 
  private:
+  void on_faults_armed() override;
+
   SimNetwork net_;
-  std::unique_ptr<FaultInjector> injector_;
 };
 
 }  // namespace cg::net

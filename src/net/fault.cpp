@@ -1,56 +1,15 @@
 #include "net/fault.hpp"
 
-#include <stdexcept>
-
 namespace cg::net {
 
-FaultInjector::FaultInjector(SimNetwork& net, FaultPlan plan,
-                             std::uint64_t seed)
-    : net_(net), plan_(std::move(plan)), rng_(seed) {}
+FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
+    : plan_(std::move(plan)), rng_(seed) {}
 
-void FaultInjector::arm() {
-  if (armed_) throw std::logic_error("FaultInjector::arm called twice");
-  armed_ = true;
-
-  net_.set_fault_fn([this](std::uint32_t from, std::uint32_t to,
-                           const serial::Frame& frame) {
-    return on_frame(from, to, frame);
-  });
-
-  const double now = net_.now();
-  for (const CrashWindow& cw : plan_.crashes) {
-    if (cw.at_s < now) {
-      throw std::invalid_argument("FaultInjector: crash window in the past");
-    }
-    net_.schedule(cw.at_s - now, [this, node = cw.node] {
-      net_.set_up(node, false);
-      ++stats_.crashes_opened;
-    });
-    if (cw.duration_s > 0.0) {
-      net_.schedule(cw.at_s + cw.duration_s - now, [this, node = cw.node] {
-        net_.set_up(node, true);
-        ++stats_.crashes_closed;
-      });
-    }
-  }
-}
-
-void FaultInjector::disarm() {
-  net_.set_fault_fn(nullptr);
-  armed_ = false;
-}
-
-const LinkFaults& FaultInjector::faults_for(std::uint32_t from,
-                                            std::uint32_t to) const {
-  auto it = plan_.per_link.find({from, to});
-  return it != plan_.per_link.end() ? it->second : plan_.default_link;
-}
-
-FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to,
-                                    const serial::Frame& frame) {
-  (void)frame;
+FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to) {
   ++stats_.frames_seen;
-  const LinkFaults& lf = faults_for(from, to);
+  auto it = plan_.per_link.find({from, to});
+  const LinkFaults& lf =
+      it != plan_.per_link.end() ? it->second : plan_.default_link;
 
   FaultAction a;
   // Sample every fault class even when an earlier one already decided the
@@ -61,7 +20,7 @@ FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to,
   const bool dup = lf.duplicate > 0.0 && rng_.chance(lf.duplicate);
   const bool corrupt = lf.corrupt > 0.0 && rng_.chance(lf.corrupt);
   const bool delay = lf.delay > 0.0 && rng_.chance(lf.delay);
-  const double extra =
+  a.copy_lag_s =
       lf.delay_min_s + rng_.uniform() * (lf.delay_max_s - lf.delay_min_s);
 
   if (drop) {
@@ -78,7 +37,7 @@ FaultAction FaultInjector::on_frame(std::uint32_t from, std::uint32_t to,
     ++stats_.corrupted;
   }
   if (delay) {
-    a.extra_delay_s = extra;
+    a.extra_delay_s = a.copy_lag_s;
     ++stats_.delayed;
   }
   return a;

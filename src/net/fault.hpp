@@ -1,18 +1,21 @@
-// ConGrid -- scripted fault injection for SimNetwork.
+// ConGrid -- scripted fault injection: one FaultPlan interpreter for every
+// backend.
 //
 // Chaos tests need misbehaving networks that misbehave the *same way* every
-// run. FaultInjector compiles a declarative FaultPlan -- per-link frame
-// fault probabilities plus per-node crash windows -- into the SimNetwork
-// fault hook (set_fault_fn) and scheduled set_up() calls. All randomness
-// comes from the injector's own seeded Rng, independent of the network's
-// latency/loss stream, so the same (seed, plan) pair replays bit-for-bit.
+// run. A FaultPlan declares per-link frame fault probabilities plus per-node
+// crash windows; NetworkBackend::arm_faults (net/backend.hpp) arms it on
+// whichever world it runs on. FaultInjector is the per-frame half: given a
+// frame's (from, to) link it decides the frame's fate with its own seeded
+// Rng, independent of the network's latency stream, so the same (seed, plan)
+// pair replays bit-for-bit on the simulator. The backend schedules the crash
+// windows and counts them here.
 //
-// What it can do to a frame in flight, per link: drop it, deliver extra
-// copies (each with fresh latency, so duplicates also arrive out of order),
-// delay it by a sampled extra latency (reordering it past later frames),
-// or flip a payload bit (the simulator's CRC check then rejects it at the
-// receiver, which the reliable layer experiences as loss). Crash windows
-// take a node down at a scripted time and optionally bring it back up.
+// What a plan can do to a frame in flight, per link: drop it, deliver an
+// extra copy, delay it by a sampled extra latency (reordering it past later
+// frames), or flip a payload bit. Each backend realises the decision in its
+// own world: SimNetwork gives every copy fresh latency and CRC-rejects a
+// flipped bit at the receiver; the socket backend turns corruption into a
+// drop and holds a duplicate back so it arrives late.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 #include <vector>
 
 #include "dsp/rng.hpp"
-#include "net/sim_network.hpp"
 
 namespace cg::net {
 
@@ -36,9 +38,9 @@ struct LinkFaults {
   double delay_max_s = 0.50;
 };
 
-/// One scripted outage: `node` goes down at `at_s` and, if `duration_s` is
-/// positive, comes back up at `at_s + duration_s` (a crash-and-restart).
-/// A non-positive duration is a permanent crash.
+/// One scripted outage: `node` goes down `at_s` seconds after the plan is
+/// armed and, if `duration_s` is positive, comes back up `duration_s` later
+/// (a crash-and-restart). A non-positive duration is a permanent crash.
 struct CrashWindow {
   std::uint32_t node = 0;
   double at_s = 0.0;
@@ -66,35 +68,40 @@ struct FaultStats {
   bool operator==(const FaultStats&) const = default;
 };
 
-/// Owns the plan + RNG and drives one SimNetwork. Construct, then arm()
-/// once before running the simulation. The injector must outlive the
-/// network's event processing (it is captured by reference in the hook).
+/// The fate of one frame in flight. A duplicated frame is delivered
+/// `1 + duplicates` times.
+struct FaultAction {
+  bool drop = false;
+  int duplicates = 0;
+  double extra_delay_s = 0.0;  ///< added to each copy's latency (reordering)
+  bool corrupt = false;        ///< flip payload bits in flight
+  /// The extra latency drawn for this frame whether or not the delay fault
+  /// fired. The socket backend holds a duplicate back by it; the simulator
+  /// samples fresh latency per copy instead and ignores it.
+  double copy_lag_s = 0.0;
+};
+
+/// Plan + seeded Rng -> one FaultAction per frame, counted in stats().
 class FaultInjector {
  public:
-  FaultInjector(SimNetwork& net, FaultPlan plan, std::uint64_t seed = 1);
+  FaultInjector(FaultPlan plan, std::uint64_t seed);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Install the fault hook and schedule every crash window. Call once.
-  void arm();
+  /// Decide the fate of the next frame on link (from, to). Every call
+  /// draws the same random numbers whatever the outcome.
+  FaultAction on_frame(std::uint32_t from, std::uint32_t to);
 
-  /// Remove the fault hook (crash windows already scheduled still fire).
-  void disarm();
-
-  const FaultStats& stats() const { return stats_; }
   const FaultPlan& plan() const { return plan_; }
+  const FaultStats& stats() const { return stats_; }
+  /// The backend counts crash windows it opens and closes here.
+  FaultStats& stats() { return stats_; }
 
  private:
-  FaultAction on_frame(std::uint32_t from, std::uint32_t to,
-                       const serial::Frame& frame);
-  const LinkFaults& faults_for(std::uint32_t from, std::uint32_t to) const;
-
-  SimNetwork& net_;
   FaultPlan plan_;
   dsp::Rng rng_;
   FaultStats stats_;
-  bool armed_ = false;
 };
 
 }  // namespace cg::net

@@ -25,8 +25,6 @@ void FaultTransport::set_handler(FrameHandler handler) {
 
 // ----------------------------------------------------- TcpLoopbackBackend
 
-TcpLoopbackBackend::TcpLoopbackBackend() : clock_(steady_clock_seconds()) {}
-
 Transport& TcpLoopbackBackend::add_node() {
   auto tcp = std::make_unique<TcpTransport>();
   if (socket_buf_bytes_ > 0) tcp->set_socket_buffer_bytes(socket_buf_bytes_);
@@ -37,24 +35,16 @@ Transport& TcpLoopbackBackend::add_node() {
   return *nodes_.back();
 }
 
-Clock TcpLoopbackBackend::clock() { return clock_; }
-
-Scheduler TcpLoopbackBackend::scheduler() {
-  return [this](double d, std::function<void()> fn) {
-    schedule(d, std::move(fn));
-  };
-}
-
 void TcpLoopbackBackend::schedule(double delay_s, std::function<void()> fn) {
   timers_.push(
-      Timer{clock_() + std::max(delay_s, 0.0), timer_seq_++, std::move(fn)});
+      Timer{now() + std::max(delay_s, 0.0), timer_seq_++, std::move(fn)});
 }
 
 bool TcpLoopbackBackend::pump() {
   bool moved = false;
   // Fire timers due now. Timers scheduled by a firing timer for "now" run
   // in the same pump, like the simulator's event loop.
-  const double t = clock_();
+  const double t = now();
   while (!timers_.empty() && timers_.top().at <= t) {
     auto fn = std::move(const_cast<Timer&>(timers_.top()).fn);
     timers_.pop();
@@ -68,7 +58,7 @@ bool TcpLoopbackBackend::pump() {
 }
 
 void TcpLoopbackBackend::run_until(double t_s) {
-  while (clock_() < t_s) {
+  while (now() < t_s) {
     if (!pump()) {
       // Idle: sleep briefly rather than spin. 200 us keeps the compressed
       // test timelines (timers of a few ms) accurate enough.
@@ -80,7 +70,7 @@ void TcpLoopbackBackend::run_until(double t_s) {
 bool TcpLoopbackBackend::run_until(double t_s,
                                    const std::function<bool()>& done) {
   while (!done()) {
-    if (clock_() >= t_s) break;
+    if (now() >= t_s) break;
     if (!pump()) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -88,33 +78,8 @@ bool TcpLoopbackBackend::run_until(double t_s,
   return done();
 }
 
-void TcpLoopbackBackend::arm_faults(const FaultPlan& plan,
-                                    std::uint64_t seed) {
-  plan_ = plan;
-  rng_ = dsp::Rng(seed);
-  faults_armed_ = true;
-  for (const CrashWindow& w : plan_.crashes) {
-    schedule(w.at_s, [this, w] {
-      set_up(w.node, false);
-      ++fault_stats_.crashes_opened;
-    });
-    if (w.duration_s > 0.0) {
-      schedule(w.at_s + w.duration_s, [this, w] {
-        set_up(w.node, true);
-        ++fault_stats_.crashes_closed;
-      });
-    }
-  }
-}
-
 void TcpLoopbackBackend::set_up(std::size_t node, bool up) {
   if (node < nodes_.size()) nodes_[node]->up_ = up;
-}
-
-const LinkFaults& TcpLoopbackBackend::faults_for(std::uint32_t from,
-                                                 std::uint32_t to) const {
-  auto it = plan_.per_link.find({from, to});
-  return it != plan_.per_link.end() ? it->second : plan_.default_link;
 }
 
 std::uint32_t TcpLoopbackBackend::node_of(const Endpoint& e) const {
@@ -128,7 +93,7 @@ void TcpLoopbackBackend::log_frame(std::uint32_t from, std::uint32_t to,
                                    const char* verdict) {
   if (wire_log_cap_ == 0) return;
   wire_log_.push_back(WireLogRecord{
-      clock_(), from, to, static_cast<std::uint8_t>(f.type),
+      now(), from, to, static_cast<std::uint8_t>(f.type),
       static_cast<std::uint32_t>(f.payload.size()), verdict});
   while (wire_log_.size() > wire_log_cap_) wire_log_.pop_front();
 }
@@ -137,47 +102,32 @@ void TcpLoopbackBackend::route_send(std::uint32_t from, const Endpoint& to,
                                     serial::Frame frame, bool is_replay) {
   const std::uint32_t dst = node_of(to);
   // A node inside a crash window sends nothing.
-  if (from < nodes_.size() && !nodes_[from]->up_) {
+  if (!nodes_[from]->up_) {
     log_frame(from, dst, frame, "dropped");
     return;
   }
-  if (faults_armed_ && !is_replay) {
-    ++fault_stats_.frames_seen;
-    const LinkFaults& lf = faults_for(from, dst);
-    if (lf.drop > 0.0 && rng_.uniform() < lf.drop) {
-      ++fault_stats_.dropped;
-      log_frame(from, dst, frame, "dropped");
-      return;
-    }
+  if (faults_ && !is_replay) {
+    const FaultAction a = faults_->on_frame(from, dst);
     // On a real wire, corruption IS loss: the kernel checksum or our frame
     // CRC rejects the bytes and the reliable layer retransmits. Model it
     // as a drop so both backends exercise the same recovery path.
-    if (lf.corrupt > 0.0 && rng_.uniform() < lf.corrupt) {
-      ++fault_stats_.corrupted;
+    if (a.drop || a.corrupt) {
       log_frame(from, dst, frame, "dropped");
       return;
     }
-    if (lf.duplicate > 0.0 && rng_.uniform() < lf.duplicate) {
-      ++fault_stats_.duplicated;
-      serial::Frame copy = frame;
-      log_frame(from, dst, copy, "dup");
+    if (a.duplicates > 0) {
       // The extra copy arrives late, like the sim's fresh-latency copy.
-      const double extra =
-          lf.delay_min_s +
-          (lf.delay_max_s - lf.delay_min_s) * rng_.uniform();
-      schedule(extra, [this, from, to, copy = std::move(copy)]() mutable {
+      log_frame(from, dst, frame, "dup");
+      schedule(a.copy_lag_s, [this, from, to, copy = frame]() mutable {
         route_send(from, to, std::move(copy), /*is_replay=*/true);
       });
     }
-    if (lf.delay > 0.0 && rng_.uniform() < lf.delay) {
-      ++fault_stats_.delayed;
-      const double extra =
-          lf.delay_min_s +
-          (lf.delay_max_s - lf.delay_min_s) * rng_.uniform();
+    if (a.extra_delay_s > 0.0) {
       log_frame(from, dst, frame, "delayed");
-      schedule(extra, [this, from, to, f = std::move(frame)]() mutable {
-        route_send(from, to, std::move(f), /*is_replay=*/true);
-      });
+      schedule(a.extra_delay_s,
+               [this, from, to, f = std::move(frame)]() mutable {
+                 route_send(from, to, std::move(f), /*is_replay=*/true);
+               });
       return;
     }
   }

@@ -7,25 +7,26 @@
 // frame crosses a real kernel socket: connect/accept, partial writes,
 // coalesced reads -- the failure modes the simulator cannot show.
 //
-// Fault injection ports the SimNetwork FaultPlan to the socket world with a
-// decorator (FaultTransport) between each service and its TcpTransport:
-// outbound frames are dropped / duplicated / delayed by the scripted
-// per-link probabilities, and a node inside a crash window blackholes both
-// directions while its timers keep running -- the same observable semantics
-// chaos tests rely on in the sim. Frame corruption maps to a drop at the
-// boundary: on a real wire TCP's checksum (and our CRC at the decoder)
-// already turns corruption into loss, which is exactly how the sim's
-// CRC-reject path behaves.
+// Faults reach the socket world through a decorator (FaultTransport)
+// between each service and its TcpTransport. Each outbound frame's fate
+// comes from the same FaultInjector the simulator uses (net/fault.hpp), and
+// route_send maps it onto sockets: a drop is a drop, a duplicate copy is
+// sent again late, a delayed frame is held back on a timer. Frame
+// corruption maps to a drop at the boundary: on a real wire TCP's checksum
+// (and our CRC at the decoder) already turns corruption into loss, which is
+// exactly how the sim's CRC-reject path behaves. A node inside a crash
+// window blackholes both directions while its timers keep running -- the
+// same observable semantics chaos tests rely on in the sim.
 //
 // Timers (retransmits, supervisor probes, batch flushes) run on an ordered
-// wall-clock TimerQueue owned by the backend; the scheduler() closure feeds
-// it. run_until pumps: fire due timers, poll every socket, sleep briefly
-// when idle.
+// wall-clock queue owned by the backend; schedule() feeds it. run_until
+// pumps: fire due timers, poll every socket, sleep briefly when idle.
 //
 // Every frame decision can be recorded to a pcap-style JSONL wire log
 // (bounded ring) for post-mortem when a CI run fails.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dsp/rng.hpp"
 #include "net/backend.hpp"
 #include "net/tcp.hpp"
 
@@ -79,20 +79,20 @@ class FaultTransport final : public Transport {
 };
 
 /// NetworkBackend over real loopback TCP. Single-threaded; wall-clock time
-/// starts at ~0 on construction.
+/// starts at ~0 on construction. A node may send to any endpoint, not just
+/// this backend's own: frames to a foreign 127.0.0.1 peer pass the fault
+/// boundary as link (node, -1).
 class TcpLoopbackBackend final : public NetworkBackend {
  public:
-  TcpLoopbackBackend();
-
   Transport& add_node() override;
-  Clock clock() override;
-  Scheduler scheduler() override;
-  double now() const override { return clock_(); }
+  double now() const override {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         epoch_)
+        .count();
+  }
   void schedule(double delay_s, std::function<void()> fn) override;
   void run_until(double t_s) override;
   bool run_until(double t_s, const std::function<bool()>& done) override;
-  void arm_faults(const FaultPlan& plan, std::uint64_t seed) override;
-  FaultStats fault_stats() const override { return fault_stats_; }
   void set_up(std::size_t node, bool up) override;
   std::string name() const override { return "tcp"; }
 
@@ -132,22 +132,17 @@ class TcpLoopbackBackend final : public NetworkBackend {
   /// Inbound boundary: drops frames addressed to a down node.
   void route_recv(FaultTransport& ft, const Endpoint& from,
                   serial::Frame frame);
-  const LinkFaults& faults_for(std::uint32_t from, std::uint32_t to) const;
   std::uint32_t node_of(const Endpoint& e) const;
   void log_frame(std::uint32_t from, std::uint32_t to, const serial::Frame& f,
                  const char* verdict);
 
-  Clock clock_;
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
   std::vector<std::unique_ptr<TcpTransport>> tcps_;
   std::vector<std::unique_ptr<FaultTransport>> nodes_;
   std::unordered_map<std::string, std::uint32_t> node_by_endpoint_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::uint64_t timer_seq_ = 0;
-
-  bool faults_armed_ = false;
-  FaultPlan plan_;
-  dsp::Rng rng_{1};
-  FaultStats fault_stats_;
 
   int socket_buf_bytes_ = 0;
   std::size_t wire_log_cap_ = 0;

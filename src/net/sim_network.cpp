@@ -81,15 +81,10 @@ void SimNetwork::submit(std::uint32_t from, const Endpoint& to,
     return;
   }
 
-  if (params_.loss_probability > 0.0 && rng_.chance(params_.loss_probability)) {
-    ++stats_.messages_dropped;
-    return;
-  }
-
-  // Scripted faults (drop / duplicate / delay / corrupt) layer on after the
-  // ambient loss model. While a hook is installed, delivery also verifies
-  // the payload CRC captured here, so in-flight corruption is rejected at
-  // the receiver instead of handed to the application.
+  // Scripted faults (drop / duplicate / delay / corrupt). While a hook is
+  // installed, delivery also verifies the payload CRC captured here, so
+  // in-flight corruption is rejected at the receiver instead of handed to
+  // the application.
   const bool verify_crc = static_cast<bool>(fault_fn_);
   // The CRC the sender stamped on the wire: captured before any in-flight
   // corruption, so a flipped bit is caught at delivery.
@@ -125,9 +120,7 @@ void SimNetwork::deliver_copy(std::uint32_t from, std::uint32_t dst,
   const std::size_t wire_bytes = serial::kFrameHeaderSize +
                                  frame.payload.size() +
                                  serial::kFrameTrailerSize;
-  double latency = latency_fn_ ? latency_fn_(from, dst)
-                               : params_.base_latency_s +
-                                     rng_.uniform() * params_.jitter_s;
+  double latency = params_.base_latency_s + rng_.uniform() * params_.jitter_s;
   if (wire_bytes > params_.small_frame_bytes && params_.bandwidth_Bps > 0.0) {
     latency += static_cast<double>(wire_bytes) / params_.bandwidth_Bps;
   }

@@ -6,8 +6,9 @@
 //
 //   delivery_time = now + base_latency + jitter + bytes / bandwidth
 //
-// with an optional loss probability, and supports node up/down state so the
-// churn module can model volunteer availability. Time is virtual (seconds
+// and supports node up/down state so the churn module can model volunteer
+// availability; scripted loss and other frame faults come from a FaultPlan
+// through the fault hook (net/fault.hpp). Time is virtual (seconds
 // as double); the whole simulation is single-threaded and, given a seed,
 // bit-for-bit reproducible.
 //
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "dsp/rng.hpp"
+#include "net/fault.hpp"
 #include "net/transport.hpp"
 #include "obs/obs.hpp"
 
@@ -35,7 +37,6 @@ struct LinkParams {
   double base_latency_s = 0.040;    ///< fixed one-way latency
   double jitter_s = 0.010;          ///< uniform extra latency in [0, jitter]
   double bandwidth_Bps = 128e3;     ///< serialisation rate, bytes/second
-  double loss_probability = 0.0;    ///< independent per-message drop chance
   /// Frames below this size (control traffic) skip the bandwidth term --
   /// they fit in one MTU and their cost is latency-dominated.
   std::size_t small_frame_bytes = 1200;
@@ -46,7 +47,7 @@ struct SimStats {
   CONGRID_COUNTERS(
       messages_sent,
       messages_delivered,
-      messages_dropped,           ///< loss model + injected drops
+      messages_dropped,           ///< injected drops
       messages_to_down_node,
       messages_duplicated,        ///< extra copies from fault hook
       /// Frames whose payload CRC no longer matched at delivery (bit
@@ -58,16 +59,6 @@ struct SimStats {
       node_down)                  ///< set_up() transitions up -> down
 
   bool operator==(const SimStats&) const = default;
-};
-
-/// What the fault hook may do to one frame in flight. A duplicated frame is
-/// delivered `1 + duplicates` times, each copy with independently sampled
-/// latency (so duplicates also reorder).
-struct FaultAction {
-  bool drop = false;
-  int duplicates = 0;
-  double extra_delay_s = 0.0;  ///< added to each copy's latency (reordering)
-  bool corrupt = false;        ///< flip payload bits in flight
 };
 
 class SimNetwork;
@@ -136,18 +127,13 @@ class SimNetwork {
   const SimStats& stats() const { return stats_; }
   const LinkParams& params() const { return params_; }
 
-  /// Per-message latency override hook: when set, replaces the base+jitter
-  /// part of the delay (bandwidth still applies). Lets experiments model
-  /// heterogeneous link quality.
-  using LatencyFn = std::function<double(std::uint32_t from, std::uint32_t to)>;
-  void set_latency_fn(LatencyFn fn) { latency_fn_ = std::move(fn); }
-
-  /// Per-message fault hook, consulted after the loss model: the
-  /// FaultInjector (net/fault.hpp) layers scripted drop / duplicate /
-  /// delay / corrupt behaviour through this. While a hook is installed the
-  /// simulator also models wire integrity: each frame's payload CRC is
-  /// captured at send time and re-verified at delivery, so a corrupted
-  /// frame is rejected (messages_corrupt_rejected) instead of trusted.
+  /// Per-message fault hook: SimBackend::arm_faults routes each frame's
+  /// FaultAction from the FaultInjector (net/fault.hpp) through this; a
+  /// duplicate copy gets its own sampled latency, so duplicates also
+  /// reorder. While a hook is installed the simulator also models wire
+  /// integrity: each frame's payload CRC is captured at send time and
+  /// re-verified at delivery, so a corrupted frame is rejected
+  /// (messages_corrupt_rejected) instead of trusted.
   using FaultFn = std::function<FaultAction(
       std::uint32_t from, std::uint32_t to, const serial::Frame& frame)>;
   void set_fault_fn(FaultFn fn) { fault_fn_ = std::move(fn); }
@@ -206,7 +192,6 @@ class SimNetwork {
   std::vector<bool> up_;
   std::vector<obs::LamportClock> lamports_;  ///< wire-level clocks, per node
   SimStats stats_;
-  LatencyFn latency_fn_;
   FaultFn fault_fn_;
 };
 

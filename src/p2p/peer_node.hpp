@@ -35,13 +35,13 @@
 
 namespace cg::p2p {
 
-/// Time source, in seconds. Bind to SimNetwork::now for simulated peers or
-/// to a steady_clock lambda for real ones. Advertisement expiry, cache
-/// purging and search timeouts all read this clock.
+/// Time source, in seconds: the clock() of the NetworkBackend the peer lives
+/// in (net/backend.hpp), virtual for simulated peers and wall for real ones.
+/// Advertisement expiry, cache purging and search timeouts all read it.
 using Clock = net::Clock;
 
-/// Deferred execution: run `fn` after `delay_s`. Bind to
-/// SimNetwork::schedule (simulated) or a local timer wheel (real).
+/// Deferred execution: run `fn` after `delay_s`. Take it from the
+/// backend's scheduler().
 using Scheduler = net::Scheduler;
 
 struct PeerConfig {

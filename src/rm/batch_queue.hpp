@@ -30,7 +30,7 @@ struct BatchQueueStats {
 };
 
 /// Virtual-time batch scheduler. All activity happens through the supplied
-/// Scheduler/Clock (normally a SimNetwork).
+/// Scheduler/Clock (normally a SimBackend's scheduler() and clock()).
 class SimBatchQueue {
  public:
   SimBatchQueue(net::Scheduler scheduler, net::Clock clock,

@@ -6,7 +6,7 @@
 //     hand-built JSONL with known timings, so every attribution number is
 //     checked against arithmetic done by hand;
 //   * acceptance tests run the real service stack (home + 3 workers,
-//     p2p pipeline policy) over SimNetwork twice with the same seed --
+//     p2p pipeline policy) over SimBackend twice with the same seed --
 //     loss-free and at 10% frame loss -- and require that the analyzer
 //     reconstructs the SAME application-level causal DAG from both runs,
 //     that retransmit stall shows up only in the lossy one, and that
@@ -19,8 +19,7 @@
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/fault.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "obs/causal.hpp"
 #include "obs/obs.hpp"
 
@@ -261,14 +260,12 @@ struct GridOutcome {
   std::uint64_t retransmits = 0;           ///< reliable-layer total
 };
 
-/// One full deploy -> stream -> shutdown cycle. `loss` arms a FaultInjector
-/// on every link; `traced` binds a Tracer to the network, home and workers.
+/// One full deploy -> stream -> shutdown cycle. `loss` arms a drop plan on
+/// every link; `traced` binds a Tracer to the network, home and workers.
 GridOutcome run_grid(std::uint64_t seed, double loss, bool traced) {
-  net::SimNetwork net({}, seed);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, seed);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
 
   // Generous retry pacing so the LOSS-FREE run never retransmits (the
   // default first-RTO can fire before a slow code frame's ack returns,
@@ -282,14 +279,14 @@ GridOutcome run_grid(std::uint64_t seed, double loss, bool traced) {
   ServiceConfig hc;
   hc.peer_id = "home";
   hc.reliable = rel;
-  TrianaService home(net.add_node(), clock, sched, reg(), hc);
+  TrianaService home(be.add_node(), clock, sched, reg(), hc);
   std::vector<std::unique_ptr<TrianaService>> workers;
   std::vector<net::Endpoint> eps;
   for (int i = 0; i < 3; ++i) {
     ServiceConfig cfg;
     cfg.peer_id = "w" + std::to_string(i);
     cfg.reliable = rel;
-    workers.push_back(std::make_unique<TrianaService>(net.add_node(), clock,
+    workers.push_back(std::make_unique<TrianaService>(be.add_node(), clock,
                                                       sched, reg(), cfg));
     home.node().add_neighbor(workers.back()->endpoint());
     workers.back()->node().add_neighbor(home.endpoint());
@@ -299,29 +296,30 @@ GridOutcome run_grid(std::uint64_t seed, double loss, bool traced) {
   obs::Registry registry;
   obs::Tracer tracer(1 << 16);
   if (traced) {
-    net.set_obs(registry, &tracer, "net");
+    be.net().set_obs(registry, &tracer, "net");
     home.set_obs(registry, &tracer, "home");
     for (std::size_t i = 0; i < workers.size(); ++i) {
       workers[i]->set_obs(registry, &tracer, "w" + std::to_string(i));
     }
   }
 
-  net::FaultPlan plan;
-  plan.default_link.drop = loss;
-  net::FaultInjector inj(net, plan, seed ^ 0xCAFEu);
-  if (loss > 0) inj.arm();
+  if (loss > 0) {
+    net::FaultPlan plan;
+    plan.default_link.drop = loss;
+    be.arm_faults(plan, seed ^ 0xCAFEu);
+  }
 
   TaskGraph g = pipeline_graph();
   home.publish_graph_modules(g, 16 * 1024);
 
   TrianaController ctl(home);
   auto run = ctl.distribute(g, "G", eps);
-  net.run_until(30.0);
+  be.run_until(30.0);
   EXPECT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "missing acks" : run->errors[0]);
 
   ctl.tick(*run, kItems);
-  net.run_until(240.0);
+  be.run_until(240.0);
 
   GridOutcome out;
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
@@ -334,7 +332,7 @@ GridOutcome run_grid(std::uint64_t seed, double loss, bool traced) {
     out.retransmits += w->reliable().stats().retransmits;
   }
   ctl.shutdown(*run);
-  net.run_until(300.0);
+  be.run_until(300.0);
   out.jsonl = tracer.to_jsonl();
   return out;
 }

@@ -1,7 +1,7 @@
 // Chaos tests: full deploy -> execute -> checkpoint -> recover loops under
 // scripted network faults (loss, duplication, reordering, corruption) plus
 // a forced mid-run peer crash. The acceptance bar: a 3-fragment distributed
-// run over a faulty SimNetwork completes with results bit-identical to the
+// run over a faulty SimBackend completes with results bit-identical to the
 // loss-free run and zero duplicate executions, while the reliable layer's
 // counters prove retries and duplicate suppression actually happened.
 #include <gtest/gtest.h>
@@ -11,8 +11,7 @@
 
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/fault.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 
 namespace cg::core {
 namespace {
@@ -46,11 +45,9 @@ TaskGraph scaler_farm_graph() {
 /// Home + 3 workers + 1 spare on one simulator.
 /// Sim node ids: home=0, w0=1, w1=2, w2=3, spare=4.
 struct ChaosGrid {
-  explicit ChaosGrid(std::uint64_t seed) : net({}, seed) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+  explicit ChaosGrid(std::uint64_t seed) : be({}, seed) {
+    auto clock = be.clock();
+    auto sched = be.scheduler();
     // Generous retry budget: a crash window must not expire messages, only
     // delay them.
     net::ReliableConfig rel;
@@ -60,20 +57,20 @@ struct ChaosGrid {
     ServiceConfig hc;
     hc.peer_id = "home";
     hc.reliable = rel;
-    home = std::make_unique<TrianaService>(net.add_node(), clock, sched,
+    home = std::make_unique<TrianaService>(be.add_node(), clock, sched,
                                            reg(), hc);
     for (int i = 0; i < 4; ++i) {  // 3 workers + 1 spare
       ServiceConfig cfg;
       cfg.peer_id = "w" + std::to_string(i);
       cfg.reliable = rel;
-      workers.push_back(std::make_unique<TrianaService>(net.add_node(), clock,
+      workers.push_back(std::make_unique<TrianaService>(be.add_node(), clock,
                                                         sched, reg(), cfg));
       home->node().add_neighbor(workers.back()->endpoint());
       workers.back()->node().add_neighbor(home->endpoint());
     }
   }
 
-  net::SimNetwork net;
+  net::SimBackend be;
   std::unique_ptr<TrianaService> home;
   std::vector<std::unique_ptr<TrianaService>> workers;
 };
@@ -111,15 +108,14 @@ RunOutcome run_farm(std::uint64_t seed, bool chaotic) {
     plan.crashes.push_back(
         net::CrashWindow{.node = 2, .at_s = 8.0, .duration_s = 8.0});
   }
-  net::FaultInjector inj(grid.net, plan, seed ^ 0xFA01u);
-  if (chaotic) inj.arm();
+  if (chaotic) grid.be.arm_faults(plan, seed ^ 0xFA01u);
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G",
                             {grid.workers[0]->endpoint(),
                              grid.workers[1]->endpoint(),
                              grid.workers[2]->endpoint()});
-  grid.net.run_until(5.0);
+  grid.be.run_until(5.0);
   EXPECT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "missing acks" : run->errors[0]);
 
@@ -134,9 +130,9 @@ RunOutcome run_farm(std::uint64_t seed, bool chaotic) {
   // Stream work in three bursts: before, during and after the crash
   // window, so in-flight items hit every failure mode.
   ctl.tick(*run, kItems / 3);
-  grid.net.schedule(10.0, [&] { ctl.tick(*run, kItems / 3); });
-  grid.net.schedule(25.0, [&] { ctl.tick(*run, kItems / 3); });
-  grid.net.run_until(120.0);
+  grid.be.schedule(10.0, [&] { ctl.tick(*run, kItems / 3); });
+  grid.be.schedule(25.0, [&] { ctl.tick(*run, kItems / 3); });
+  grid.be.run_until(120.0);
   sup->stop();
 
   RunOutcome out;
@@ -151,9 +147,9 @@ RunOutcome run_farm(std::uint64_t seed, bool chaotic) {
     out.duplicate_deploys += w->stats().duplicate_deploys;
     out.jobs_started += w->stats().jobs_started;
   }
-  out.faults = inj.stats();
+  out.faults = grid.be.fault_stats();
   out.recoveries = sup->stats().recoveries;
-  out.corrupt_rejected = grid.net.stats().messages_corrupt_rejected;
+  out.corrupt_rejected = grid.be.net().stats().messages_corrupt_rejected;
   return out;
 }
 
@@ -261,15 +257,14 @@ FencedOutcome run_fenced_farm(std::uint64_t seed, bool chaotic) {
     plan.crashes.push_back(
         net::CrashWindow{.node = 2, .at_s = 8.0, .duration_s = 20.0});
   }
-  net::FaultInjector inj(grid.net, plan, seed ^ 0xFA01u);
-  if (chaotic) inj.arm();
+  if (chaotic) grid.be.arm_faults(plan, seed ^ 0xFA01u);
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G",
                             {grid.workers[0]->endpoint(),
                              grid.workers[1]->endpoint(),
                              grid.workers[2]->endpoint()});
-  grid.net.run_until(5.0);
+  grid.be.run_until(5.0);
   EXPECT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "missing acks" : run->errors[0]);
 
@@ -283,9 +278,9 @@ FencedOutcome run_fenced_farm(std::uint64_t seed, bool chaotic) {
   sup->start();
 
   ctl.tick(*run, kItems / 3);
-  grid.net.schedule(10.0, [&] { ctl.tick(*run, kItems / 3); });
-  grid.net.schedule(25.0, [&] { ctl.tick(*run, kItems / 3); });
-  grid.net.run_until(120.0);
+  grid.be.schedule(10.0, [&] { ctl.tick(*run, kItems / 3); });
+  grid.be.schedule(25.0, [&] { ctl.tick(*run, kItems / 3); });
+  grid.be.run_until(120.0);
   sup->stop();
 
   FencedOutcome out;
@@ -310,7 +305,7 @@ FencedOutcome run_fenced_farm(std::uint64_t seed, bool chaotic) {
   out.zombie_suspended = grid.workers[1]->stats().jobs_suspended;
   out.zombie_fenced = grid.workers[1]->stats().jobs_fenced;
   out.final_epoch = sup->epoch_of(1);
-  out.faults = inj.stats();
+  out.faults = grid.be.fault_stats();
   return out;
 }
 
@@ -414,14 +409,16 @@ std::vector<std::vector<double>> run_pipeline(
   net::LinkFaults dead;
   dead.drop = 1.0;
   plan.per_link[{0u, 2u}] = dead;
-  net::FaultInjector inj(grid.net, plan, seed ^ 0xFA01u);
   // Armed mid-run, after deploy and a few healthy probe rounds.
-  if (blackhole) grid.net.schedule(7.5, [&] { inj.arm(); });
+  if (blackhole) {
+    grid.be.schedule(7.5,
+                     [&] { grid.be.arm_faults(plan, seed ^ 0xFA01u); });
+  }
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint(),
                                      grid.workers[1]->endpoint()});
-  grid.net.run_until(5.0);
+  grid.be.run_until(5.0);
   EXPECT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "missing acks" : run->errors[0]);
 
@@ -444,9 +441,9 @@ std::vector<std::vector<double>> run_pipeline(
   // but before stage 1's lease expires (results still flow out); burst 3
   // arrives at the suspended stage and has to bounce.
   ctl.tick(*run, kItems / 3);
-  grid.net.schedule(10.0, [&] { ctl.tick(*run, kItems / 3); });
-  grid.net.schedule(15.0, [&] { ctl.tick(*run, kItems / 3); });
-  grid.net.run_until(120.0);
+  grid.be.schedule(10.0, [&] { ctl.tick(*run, kItems / 3); });
+  grid.be.schedule(15.0, [&] { ctl.tick(*run, kItems / 3); });
+  grid.be.run_until(120.0);
   sup->stop();
 
   std::vector<std::vector<double>> items;
@@ -507,7 +504,7 @@ TEST(Chaos, OutputBindRetriesSurviveProviderBlip) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_until(5.0);
+  grid.be.run_until(5.0);
   ASSERT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "missing acks" : run->errors[0]);
 
@@ -515,11 +512,11 @@ TEST(Chaos, OutputBindRetriesSurviveProviderBlip) {
   // output bind; its cached advert is dropped (exactly what a recovery
   // rebind does), so the bind must flood -- and nobody answers until the
   // host returns 12 s later.
-  grid.net.set_up(1, false);
+  grid.be.set_up(1, false);
   grid.home->rebind_channel(run->prefix + "/w0/in0");
-  grid.net.schedule(6.0, [&] { ctl.tick(*run, 4); });
-  grid.net.schedule(18.0, [&] { grid.net.set_up(1, true); });
-  grid.net.run_until(60.0);
+  grid.be.schedule(6.0, [&] { ctl.tick(*run, 4); });
+  grid.be.schedule(18.0, [&] { grid.be.set_up(1, true); });
+  grid.be.run_until(60.0);
 
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   EXPECT_EQ(sink->items().size(), 4u);

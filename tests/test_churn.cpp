@@ -1,6 +1,6 @@
 // Tests for cg_churn: availability models, trace algebra, the
 // completed-tasks arithmetic (with and without checkpointing), and trace
-// replay onto a SimNetwork.
+// replay onto a SimBackend.
 #include <gtest/gtest.h>
 
 #include "churn/availability.hpp"
@@ -160,94 +160,96 @@ TEST(CompletedTasks, DurationClipsTrailingInterval) {
 }
 
 TEST(Driver, ReplaysTraceOntoSimNetwork) {
-  net::SimNetwork net({}, 1);
-  auto& node = net.add_node();
+  net::SimBackend be({}, 1);
+  auto& node = be.add_node();
   (void)node;
   Trace t = {{10, 20}, {30, 40}};
-  apply_trace(net, 0, t);
+  apply_trace(be, 0, t);
 
-  EXPECT_FALSE(net.is_up(0));  // trace starts later
-  net.run_until(15.0);
-  EXPECT_TRUE(net.is_up(0));
-  net.run_until(25.0);
-  EXPECT_FALSE(net.is_up(0));
-  net.run_until(35.0);
-  EXPECT_TRUE(net.is_up(0));
-  net.run_until(45.0);
-  EXPECT_FALSE(net.is_up(0));
+  EXPECT_FALSE(be.net().is_up(0));  // trace starts later
+  be.run_until(15.0);
+  EXPECT_TRUE(be.net().is_up(0));
+  be.run_until(25.0);
+  EXPECT_FALSE(be.net().is_up(0));
+  be.run_until(35.0);
+  EXPECT_TRUE(be.net().is_up(0));
+  be.run_until(45.0);
+  EXPECT_FALSE(be.net().is_up(0));
 }
 
 TEST(Driver, UpAtZeroWhenTraceStartsAtZero) {
-  net::SimNetwork net({}, 1);
-  net.add_node();
-  apply_trace(net, 0, {{0, 5}});
-  EXPECT_TRUE(net.is_up(0));
-  net.run_until(6.0);
-  EXPECT_FALSE(net.is_up(0));
+  net::SimBackend be({}, 1);
+  be.add_node();
+  apply_trace(be, 0, {{0, 5}});
+  EXPECT_TRUE(be.net().is_up(0));
+  be.run_until(6.0);
+  EXPECT_FALSE(be.net().is_up(0));
 }
 
 TEST(Driver, ZeroLengthIntervalGrantsNoUsableTime) {
-  net::SimNetwork net({}, 1);
-  net.add_node();
-  apply_trace(net, 0, {{5, 5}});
-  EXPECT_FALSE(net.is_up(0));
+  net::SimBackend be({}, 1);
+  be.add_node();
+  apply_trace(be, 0, {{5, 5}});
+  EXPECT_FALSE(be.net().is_up(0));
   // Both transitions share t=5; FIFO order applies up then immediately
   // down, so after the timestamp the node is down again.
-  net.run_until(5.0);
-  EXPECT_FALSE(net.is_up(0));
-  net.run_until(10.0);
-  EXPECT_FALSE(net.is_up(0));
+  be.run_until(5.0);
+  EXPECT_FALSE(be.net().is_up(0));
+  be.run_until(10.0);
+  EXPECT_FALSE(be.net().is_up(0));
 }
 
 TEST(Driver, ZeroLengthIntervalAtZero) {
-  net::SimNetwork net({}, 1);
-  net.add_node();
-  apply_trace(net, 0, {{0, 0}});
-  EXPECT_TRUE(net.is_up(0));  // up at t=0 per the up-at-zero contract...
-  net.run_until(0.0);
-  EXPECT_FALSE(net.is_up(0));  // ...but the t=0 end takes it down at once
+  net::SimBackend be({}, 1);
+  be.add_node();
+  apply_trace(be, 0, {{0, 0}});
+  // Up at t=0 per the up-at-zero contract...
+  EXPECT_TRUE(be.net().is_up(0));
+  be.run_until(0.0);
+  // ...but the t=0 end takes it down at once.
+  EXPECT_FALSE(be.net().is_up(0));
 }
 
 TEST(Driver, MessagesAtIntervalBoundariesRespectHalfOpenSemantics) {
   net::LinkParams p;
   p.base_latency_s = 1.0;
   p.jitter_s = 0.0;
-  net::SimNetwork net(p, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
+  net::SimBackend be(p, 1);
+  auto& a = be.add_node();
+  auto& b = be.add_node();
   int got = 0;
   b.set_handler([&](const net::Endpoint&, serial::Frame) { ++got; });
   // Node b (id 1) usable during [5, 9); transitions are scheduled now, so
   // they run before same-timestamp traffic (FIFO tie-break).
-  apply_trace(net, 1, {{5, 9}});
+  apply_trace(be, 1, {{5, 9}});
 
   serial::Frame f;
   f.type = serial::FrameType::kControl;
   f.payload = {1};
   // Arrives at t=5, exactly at the up transition: delivered (closed start).
-  net.schedule(4.0, [&] { a.send(b.local(), f); });
+  be.schedule(4.0, [&] { a.send(b.local(), f); });
   // Arrives at t=7, inside the interval: delivered.
-  net.schedule(6.0, [&] { a.send(b.local(), f); });
+  be.schedule(6.0, [&] { a.send(b.local(), f); });
   // Arrives at t=9, exactly at the down transition: lost (open end).
-  net.schedule(8.0, [&] { a.send(b.local(), f); });
+  be.schedule(8.0, [&] { a.send(b.local(), f); });
   // Sent at t=9.5 while b is down, arrives at 10.5: lost.
-  net.schedule(9.5, [&] { a.send(b.local(), f); });
-  net.run_all();
+  be.schedule(9.5, [&] { a.send(b.local(), f); });
+  be.net().run_all();
 
   EXPECT_EQ(got, 2);
-  EXPECT_EQ(net.stats().messages_to_down_node, 2u);
+  EXPECT_EQ(be.net().stats().messages_to_down_node, 2u);
 }
 
 TEST(Driver, ApplyModelReturnsTheTraceItApplied) {
-  net::SimNetwork net({}, 1);
-  net.add_node();
+  net::SimBackend be({}, 1);
+  be.add_node();
   dsp::Rng rng(9);
   PoissonChurnModel m(100, 50);
-  Trace t = apply_model(net, 0, m, 1000.0, rng);
+  Trace t = apply_model(be, 0, m, 1000.0, rng);
   EXPECT_FALSE(t.empty());
   // Spot-check one boundary.
-  net.run_until(t.front().start + 1e-6);
-  EXPECT_TRUE(net.is_up(0));
+  be.run_until(t.front().start + 1e-6);
+  EXPECT_TRUE(be.net().is_up(0));
 }
 
 }  // namespace

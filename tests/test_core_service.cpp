@@ -10,7 +10,7 @@
 #include "core/graph/taskgraph_xml.hpp"
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "repo/artifact.hpp"
 
 namespace cg::core {
@@ -26,21 +26,19 @@ UnitRegistry& reg() {
 struct Grid {
   explicit Grid(std::size_t n_workers, ServiceConfig worker_cfg = {},
                 net::LinkParams lp = {})
-      : net(lp, 1) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
+      : be(lp, 1) {
+    auto clock = be.clock();
+    auto sched = be.scheduler();
     ServiceConfig home_cfg;
     home_cfg.peer_id = "home";
     home =
-        std::make_unique<TrianaService>(net.add_node(), clock, sched, reg(),
+        std::make_unique<TrianaService>(be.add_node(), clock, sched, reg(),
                                         home_cfg);
     for (std::size_t i = 0; i < n_workers; ++i) {
       ServiceConfig cfg = worker_cfg;
       cfg.peer_id = "worker-" + std::to_string(i);
       workers.push_back(std::make_unique<TrianaService>(
-          net.add_node(), clock, sched, reg(), cfg));
+          be.add_node(), clock, sched, reg(), cfg));
     }
     // Full mesh overlay.
     auto all = [&]() {
@@ -62,7 +60,7 @@ struct Grid {
     return out;
   }
 
-  net::SimNetwork net;
+  net::SimBackend be;
   std::unique_ptr<TrianaService> home;
   std::vector<std::unique_ptr<TrianaService>> workers;
 };
@@ -126,7 +124,7 @@ TEST(Service, RemoteDeployFetchesCodeOnDemand) {
                              acked = true;
                              got = a;
                            });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(acked);
   EXPECT_TRUE(got.ok) << got.error;
   // Worker fetched Wave and NullSink artifacts from home.
@@ -155,7 +153,7 @@ TEST(Service, DuplicateDeployIsReAckedNotReExecuted) {
         ++acks;
         EXPECT_TRUE(a.ok) << a.error;
       });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_EQ(acks, 1);
   ASSERT_EQ(grid.workers[0]->stats().jobs_started, 1u);
 
@@ -170,7 +168,7 @@ TEST(Service, DuplicateDeployIsReAckedNotReExecuted) {
   m.iterations = 3;
   m.graph_xml = write_taskgraph(simple, false);
   grid.home->reliable().send(grid.workers[0]->endpoint(), encode(m));
-  grid.net.run_all();
+  grid.be.net().run_all();
 
   EXPECT_EQ(grid.workers[0]->stats().jobs_started, 1u);  // not re-run
   EXPECT_EQ(grid.workers[0]->stats().duplicate_deploys, 1u);
@@ -190,7 +188,7 @@ TEST(Service, DeployFailsWhenOwnerLacksModule) {
   DeployAckMsg got;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 1,
                            [&](const DeployAckMsg& a) { got = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_FALSE(got.ok);
   EXPECT_NE(got.error.find("no module"), std::string::npos);
 }
@@ -207,7 +205,7 @@ TEST(Service, DeployFailsWhenFetchDisabled) {
   DeployAckMsg got;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 1,
                            [&](const DeployAckMsg& a) { got = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_FALSE(got.ok);
   EXPECT_NE(got.error.find("on-demand fetch is disabled"), std::string::npos);
 }
@@ -229,7 +227,7 @@ TEST(Service, CertifiedLibraryGatesExecution) {
   DeployAckMsg got;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 1,
                            [&](const DeployAckMsg& a) { got = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_FALSE(got.ok);
   EXPECT_NE(got.error.find("certified"), std::string::npos);
 
@@ -241,7 +239,7 @@ TEST(Service, CertifiedLibraryGatesExecution) {
   DeployAckMsg got2;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 1,
                            [&](const DeployAckMsg& a) { got2 = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_TRUE(got2.ok) << got2.error;
 }
 
@@ -258,11 +256,11 @@ TEST(Service, BillingSettlesOnCancel) {
   DeployAckMsg got;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 10,
                            [&](const DeployAckMsg& a) { got = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(got.ok);
 
   grid.home->cancel_remote(grid.workers[0]->endpoint(), got.job_id);
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_EQ(grid.workers[0]->job_count(), 0u);
   const auto totals = grid.workers[0]->account().ledger().totals_for("home");
   EXPECT_EQ(totals.executions, 1u);
@@ -281,13 +279,13 @@ TEST(Service, StatusReporting) {
   DeployAckMsg got;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), simple, 7,
                            [&](const DeployAckMsg& a) { got = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(got.ok);
 
   StatusMsg status;
   grid.home->request_status(grid.workers[0]->endpoint(), got.job_id,
                             [&](const StatusMsg& s) { status = s; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_TRUE(status.known);
   EXPECT_TRUE(status.running);
   EXPECT_EQ(status.iteration, 7u);
@@ -295,7 +293,7 @@ TEST(Service, StatusReporting) {
   StatusMsg missing;
   grid.home->request_status(grid.workers[0]->endpoint(), "nope",
                             [&](const StatusMsg& s) { missing = s; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_FALSE(missing.known);
 }
 
@@ -306,13 +304,13 @@ TEST(Controller, ParallelFarmOverSimNetwork) {
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", grid.worker_endpoints());
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->all_acked());
   EXPECT_TRUE(run->deployed_ok()) << (run->errors.empty() ? "" : run->errors[0]);
 
   const int kIters = 12;
   ctl.tick(*run, kIters);
-  grid.net.run_all();
+  grid.be.net().run_all();
 
   GraphRuntime* home_rt = ctl.home_runtime(*run);
   ASSERT_NE(home_rt, nullptr);
@@ -335,7 +333,7 @@ TEST(Controller, ParallelFarmOverSimNetwork) {
   EXPECT_EQ(grapher->items().back().type(), DataType::kSpectrum);
 
   ctl.shutdown(*run);
-  grid.net.run_all();
+  grid.be.net().run_all();
   for (auto& w : grid.workers) EXPECT_EQ(w->job_count(), 0u);
 }
 
@@ -346,12 +344,12 @@ TEST(Controller, PipelineOverSimNetwork) {
 
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", grid.worker_endpoints());
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "" : run->errors[0]);
 
   ctl.tick(*run, 6);
-  grid.net.run_all();
+  grid.be.net().run_all();
 
   auto* grapher = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Grapher");
   ASSERT_EQ(grapher->items().size(), 6u);
@@ -379,7 +377,7 @@ TEST(Controller, DiscoveryFindsCapableWorkers) {
                        [&](std::vector<net::Endpoint> eps) {
                          found = std::move(eps);
                        });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_EQ(found.size(), 4u);  // all workers, self excluded
   for (const auto& e : found) EXPECT_NE(e, grid.home->endpoint());
 }
@@ -394,7 +392,7 @@ TEST(Controller, DiscoveryRespectsConstraints) {
   ctl.discover_workers(q, 2, 8, 5.0, [&](std::vector<net::Endpoint> eps) {
     found = std::move(eps);
   });
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_TRUE(found.empty());
 }
 
@@ -407,17 +405,17 @@ TEST(Controller, CheckpointAndMigrateFragment) {
   // Use only workers 0 and 1 initially.
   auto run = ctl.distribute(
       g, "G", {grid.workers[0]->endpoint(), grid.workers[1]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   ctl.tick(*run, 4);
-  grid.net.run_all();
+  grid.be.net().run_all();
 
   // Migrate fragment 0 from worker 0 to worker 2.
   bool migrated = false;
   ctl.migrate(run, 0, grid.workers[2]->endpoint(),
               [&](bool ok) { migrated = ok; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(migrated);
   EXPECT_EQ(grid.workers[0]->job_count(), 0u);
   EXPECT_EQ(grid.workers[2]->job_count(), 1u);
@@ -426,7 +424,7 @@ TEST(Controller, CheckpointAndMigrateFragment) {
   auto* grapher = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Grapher");
   const std::size_t before = grapher->items().size();
   ctl.tick(*run, 4);
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_EQ(grapher->items().size(), before + 4);
   // The migrated replica processes its round-robin share on worker 2.
   auto* rt2 = grid.workers[2]->job_runtime(run->remote_jobs[0]);
@@ -461,7 +459,7 @@ TEST(Service, SandboxCpuViolationFailsJobAndBillsIt) {
   DeployAckMsg ack;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), g, 5,
                            [&](const DeployAckMsg& a) { ack = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(ack.ok);  // deploy succeeds; the job fails at runtime
   std::string error;
   EXPECT_TRUE(grid.workers[0]->job_failed(ack.job_id, &error));
@@ -495,7 +493,7 @@ TEST(Service, SandboxNetworkBudgetStopsChattyJob) {
   DeployAckMsg ack;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), frag, 5,
                            [&](const DeployAckMsg& a) { ack = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(ack.ok);
   std::string error;
   EXPECT_TRUE(grid.workers[0]->job_failed(ack.job_id, &error));
@@ -519,16 +517,16 @@ TEST(Service, CancelAfterReplacementKeepsSharedLabelAlive) {
   DeployAckMsg a1, a2;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), frag, 0,
                            [&](const DeployAckMsg& a) { a1 = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   // Replacement lands first...
   grid.home->deploy_remote(grid.workers[0]->endpoint(), frag, 0,
                            [&](const DeployAckMsg& a) { a2 = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(a1.ok);
   ASSERT_TRUE(a2.ok);
   // ...then the stale cancel arrives.
   grid.home->cancel_remote(grid.workers[0]->endpoint(), a1.job_id);
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_EQ(grid.workers[0]->job_count(), 1u);
 
   // The channel still delivers into the replacement job.
@@ -542,11 +540,11 @@ TEST(Service, CancelAfterReplacementKeepsSharedLabelAlive) {
     bound = true;
     pipe = std::move(p);
   });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(bound);
   ASSERT_TRUE(pipe.bound());
   grid.home->pipes().send(pipe, encode_data_item(DataItem(1.0)));
-  grid.net.run_all();
+  grid.be.net().run_all();
   auto* sink = rt->unit_as<NullSinkUnit>("Sink");
   ASSERT_NE(sink, nullptr);
   EXPECT_EQ(sink->received(), 1u);
@@ -558,9 +556,9 @@ TEST(Service, PipeItemCountsAreTracked) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", grid.worker_endpoints());
-  grid.net.run_all();
+  grid.be.net().run_all();
   ctl.tick(*run, 5);
-  grid.net.run_all();
+  grid.be.net().run_all();
   EXPECT_EQ(grid.home->stats().pipe_items_out, 5u);   // scatter -> worker
   EXPECT_EQ(grid.home->stats().pipe_items_in, 5u);    // results back
   EXPECT_EQ(grid.workers[0]->stats().pipe_items_in, 5u);
@@ -598,7 +596,7 @@ TEST(Service, DeployAdvertisesModuleDigests) {
                              acked = true;
                              EXPECT_TRUE(a.ok) << a.error;
                            });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(acked);
 
   // The worker's fetched copies carry exactly the digests home advertises.
@@ -627,7 +625,7 @@ TEST(Service, CasWarmRestartSkipsNetworkFetch) {
     bool ok = false;
     grid.home->deploy_remote(grid.workers[0]->endpoint(), g, 2,
                              [&](const DeployAckMsg& a) { ok = a.ok; });
-    grid.net.run_all();
+    grid.be.net().run_all();
     ASSERT_TRUE(ok);
     cold_fetched = grid.workers[0]->stats().modules_fetched;
     EXPECT_EQ(cold_fetched, 2u);  // cold start pays the network fetch
@@ -645,7 +643,7 @@ TEST(Service, CasWarmRestartSkipsNetworkFetch) {
     bool ok = false;
     grid.home->deploy_remote(grid.workers[0]->endpoint(), g, 2,
                              [&](const DeployAckMsg& a) { ok = a.ok; });
-    grid.net.run_all();
+    grid.be.net().run_all();
     ASSERT_TRUE(ok);
     EXPECT_EQ(grid.workers[0]->stats().modules_fetched, 0u);
     EXPECT_EQ(grid.workers[0]->stats().modules_from_cas +
@@ -671,7 +669,7 @@ TEST(Service, StaleCachedModuleIsRefreshedByDigestMismatch) {
   bool ok = false;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), g, 1,
                            [&](const DeployAckMsg& a) { ok = a.ok; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(ok);
   // The digest mismatch forced a re-fetch (paper 3.3: the owner's current
   // version always wins), and the resident copy is now the owner's.
@@ -702,7 +700,7 @@ TEST(Service, MemoizedPureUnitsReplayAcrossJobs) {
   DeployAckMsg first, second;
   grid.home->deploy_remote(grid.workers[0]->endpoint(), g, 3,
                            [&](const DeployAckMsg& a) { first = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(first.ok) << first.error;
   auto* rt1 = grid.workers[0]->job_runtime(first.job_id);
   ASSERT_NE(rt1, nullptr);
@@ -711,7 +709,7 @@ TEST(Service, MemoizedPureUnitsReplayAcrossJobs) {
 
   grid.home->deploy_remote(grid.workers[0]->endpoint(), g, 3,
                            [&](const DeployAckMsg& a) { second = a; });
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(second.ok) << second.error;
   auto* rt2 = grid.workers[0]->job_runtime(second.job_id);
   ASSERT_NE(rt2, nullptr);

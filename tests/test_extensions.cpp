@@ -7,7 +7,7 @@
 #include "core/service/controller.hpp"
 #include "core/service/describe.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "sandbox/trust.hpp"
 #include "xml/parse.hpp"
 #include "xml/write.hpp"
@@ -132,9 +132,9 @@ TEST(PeerGroups, QueryXmlRoundTripsGroups) {
 }
 
 TEST(PeerGroups, NodeMembershipFlowsIntoAdverts) {
-  net::SimNetwork net({}, 1);
-  auto& t = net.add_node();
-  p2p::PeerNode node(t, [&] { return net.now(); });
+  net::SimBackend be({}, 1);
+  auto& t = be.add_node();
+  p2p::PeerNode node(t, be.clock());
   node.join_group("gw-search");
   node.join_group("render-farm");
   node.join_group("gw-search");  // idempotent
@@ -149,11 +149,11 @@ TEST(PeerGroups, NodeMembershipFlowsIntoAdverts) {
 }
 
 TEST(PeerGroups, GroupScopedDiscovery) {
-  net::SimNetwork net({}, 1);
+  net::SimBackend be({}, 1);
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   for (int i = 0; i < 3; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), [&net] { return net.now(); },
+        be.add_node(), be.clock(),
         p2p::PeerConfig{.peer_id = "n" + std::to_string(i)}));
   }
   nodes[0]->add_neighbor(nodes[1]->endpoint());
@@ -172,7 +172,7 @@ TEST(PeerGroups, GroupScopedDiscovery) {
   nodes[0]->discover_flood(q, 3, [&](const auto& ads) {
     found.insert(found.end(), ads.begin(), ads.end());
   });
-  net.run_all();
+  be.net().run_all();
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].name, "n1");
 }
@@ -248,21 +248,19 @@ TEST(Broadcast, SendsToEveryLabel) {
 // ------------------------------------------------------ replicated policy
 
 TEST(ReplicatedPolicy, EndToEndOverSimGrid) {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
 
   core::ServiceConfig hc;
   hc.peer_id = "home";
-  core::TrianaService home(net.add_node(), clock, sched, reg(), hc);
+  core::TrianaService home(be.add_node(), clock, sched, reg(), hc);
   std::vector<std::unique_ptr<core::TrianaService>> ws;
   std::vector<net::Endpoint> eps;
   for (int i = 0; i < 3; ++i) {
     core::ServiceConfig cfg;
     cfg.peer_id = "w" + std::to_string(i);
-    ws.push_back(std::make_unique<core::TrianaService>(net.add_node(), clock,
+    ws.push_back(std::make_unique<core::TrianaService>(be.add_node(), clock,
                                                        sched, reg(), cfg));
     home.node().add_neighbor(ws.back()->endpoint());
     ws.back()->node().add_neighbor(home.endpoint());
@@ -289,13 +287,13 @@ TEST(ReplicatedPolicy, EndToEndOverSimGrid) {
 
   core::TrianaController ctl(home);
   auto run = ctl.distribute(g, "G", eps);
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(run->deployed_ok())
       << (run->errors.empty() ? "" : run->errors[0]);
   ASSERT_EQ(run->remote_jobs.size(), 3u);  // full replication
 
   ctl.tick(*run, 5);
-  net.run_all();
+  be.net().run_all();
 
   auto* result = ctl.home_runtime(*run)->unit_as<core::GrapherUnit>("Result");
   ASSERT_EQ(result->items().size(), 5u);
@@ -337,17 +335,15 @@ TEST(ReplicatedPolicy, PlanValidatesAndCaps) {
 // -------------------------------------------------- controller trust wiring
 
 TEST(ControllerTrust, AcksFeedScoresAndDiscoveryRanks) {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::ServiceConfig hc;
   hc.peer_id = "home";
-  core::TrianaService home(net.add_node(), clock, sched, reg(), hc);
+  core::TrianaService home(be.add_node(), clock, sched, reg(), hc);
   core::ServiceConfig wc;
   wc.peer_id = "worker";
-  core::TrianaService worker(net.add_node(), clock, sched, reg(), wc);
+  core::TrianaService worker(be.add_node(), clock, sched, reg(), wc);
   home.node().add_neighbor(worker.endpoint());
   worker.node().add_neighbor(home.endpoint());
   worker.announce();
@@ -369,7 +365,7 @@ TEST(ControllerTrust, AcksFeedScoresAndDiscoveryRanks) {
   home.publish_graph_modules(g);
 
   auto run = ctl.distribute(g, "G", {worker.endpoint()});
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
   EXPECT_GT(trust.score(worker.endpoint().value), 0.5);
 
@@ -383,7 +379,7 @@ TEST(ControllerTrust, AcksFeedScoresAndDiscoveryRanks) {
   ctl.discover_workers(q, 2, 4, 1.0, [&](std::vector<net::Endpoint> eps) {
     found = std::move(eps);
   });
-  net.run_all();
+  be.net().run_all();
   EXPECT_TRUE(found.empty());
 
   ctl.report_disagreement(worker.endpoint());
@@ -403,15 +399,13 @@ TEST(Describe, UnitPortTypeListsPortsAndTypes) {
 }
 
 TEST(Describe, ServiceDocumentIsCompleteAndParses) {
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   core::ServiceConfig cfg;
   cfg.peer_id = "describe-me";
   cfg.capabilities = {{"cpu_mhz", "1500"}};
-  core::TrianaService svc(net.add_node(), clock, sched, reg(), cfg);
+  core::TrianaService svc(be.add_node(), clock, sched, reg(), cfg);
 
   const std::string doc = core::service_description_document(svc);
   const xml::Node root = xml::parse(doc);

@@ -1,17 +1,17 @@
 // Integration tests off the simulator: the full service stack running
-// (a) across real threads, one TcpTransport per peer thread -- true
-// concurrency -- and (b) over real TCP sockets on loopback.
+// (a) across real threads, one single-node TcpLoopbackBackend per peer
+// thread -- true concurrency -- and (b) over real TCP sockets on loopback,
+// every peer on one backend.
 // These prove the stack is genuinely transport-agnostic (the paper's
 // middleware-independence constraint) and not merely sim-shaped.
 #include <gtest/gtest.h>
 
-#include <mutex>
+#include <limits>
 #include <thread>
 
 #include "core/service/controller.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/tcp.hpp"
-#include "net/time.hpp"
+#include "net/loopback.hpp"
 
 namespace cg::core {
 namespace {
@@ -20,45 +20,6 @@ UnitRegistry& reg() {
   static UnitRegistry r = UnitRegistry::with_builtins();
   return r;
 }
-
-/// Wall-clock timer queue; poll() fires due callbacks on the owner thread.
-class TimerQueue {
- public:
-  explicit TimerQueue(net::Clock clock) : clock_(std::move(clock)) {}
-
-  net::Scheduler scheduler() {
-    return [this](double d, std::function<void()> fn) {
-      std::lock_guard lock(mu_);
-      timers_.push_back({clock_() + d, std::move(fn)});
-    };
-  }
-
-  void poll() {
-    std::vector<std::function<void()>> due;
-    {
-      std::lock_guard lock(mu_);
-      const double now = clock_();
-      for (std::size_t i = 0; i < timers_.size();) {
-        if (timers_[i].due <= now) {
-          due.push_back(std::move(timers_[i].fn));
-          timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-    for (auto& fn : due) fn();
-  }
-
- private:
-  struct Timer {
-    double due;
-    std::function<void()> fn;
-  };
-  net::Clock clock_;
-  std::mutex mu_;
-  std::vector<Timer> timers_;
-};
 
 TaskGraph farm_graph() {
   TaskGraph inner("inner");
@@ -79,23 +40,24 @@ TaskGraph farm_graph() {
 }
 
 TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
-  net::Clock clock = net::steady_clock_seconds();
-
-  // Ephemeral 127.0.0.1 ports. Each transport is driven by exactly one
-  // thread once the peer threads start (tcp.hpp's threading model).
-  net::TcpTransport home_t(0), w0_t(0), w1_t(0);
-
-  TimerQueue home_timers(clock), w0_timers(clock), w1_timers(clock);
+  // One backend per peer: each owns its sockets (ephemeral 127.0.0.1
+  // ports) and timers, and is driven by exactly one thread once the peer
+  // threads start. Peers address each other by real endpoint, so frames
+  // cross backends like they cross hosts.
+  net::TcpLoopbackBackend home_be, w0_be, w1_be;
 
   ServiceConfig hc;
   hc.peer_id = "home";
-  TrianaService home(home_t, clock, home_timers.scheduler(), reg(), hc);
+  TrianaService home(home_be.add_node(), home_be.clock(),
+                     home_be.scheduler(), reg(), hc);
   ServiceConfig c0;
   c0.peer_id = "w0";
-  TrianaService w0(w0_t, clock, w0_timers.scheduler(), reg(), c0);
+  TrianaService w0(w0_be.add_node(), w0_be.clock(), w0_be.scheduler(), reg(),
+                   c0);
   ServiceConfig c1;
   c1.peer_id = "w1";
-  TrianaService w1(w1_t, clock, w1_timers.scheduler(), reg(), c1);
+  TrianaService w1(w1_be.add_node(), w1_be.clock(), w1_be.scheduler(), reg(),
+                   c1);
 
   home.node().add_neighbor(w0.endpoint());
   home.node().add_neighbor(w1.endpoint());
@@ -106,32 +68,22 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
   home.publish_graph_modules(g);
   const std::vector<net::Endpoint> workers = {w0.endpoint(), w1.endpoint()};
 
-  // One polling thread per worker peer (each service is confined to it);
+  // One pumping thread per worker peer (each service is confined to it);
   // jthreads stop and join on scope exit, before the services they drive.
+  constexpr double kForever = std::numeric_limits<double>::infinity();
   std::jthread t0([&](std::stop_token st) {
-    while (!st.stop_requested()) {
-      w0_t.poll_wait(1);
-      w0_timers.poll();
-    }
+    w0_be.run_until(kForever, [&] { return st.stop_requested(); });
   });
   std::jthread t1([&](std::stop_token st) {
-    while (!st.stop_requested()) {
-      w1_t.poll_wait(1);
-      w1_timers.poll();
-    }
+    w1_be.run_until(kForever, [&] { return st.stop_requested(); });
   });
 
-  // The controller runs on this thread and polls the home transport.
+  // The controller runs on this thread and pumps the home backend.
   TrianaController ctl(home);
   auto run = ctl.distribute(g, "G", workers);
 
-  auto pump_home = [&](auto pred) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!pred() && std::chrono::steady_clock::now() < deadline) {
-      home_t.poll_wait(1);
-      home_timers.poll();
-    }
+  auto pump_home = [&](const std::function<bool()>& pred) {
+    home_be.run_until(home_be.now() + 10.0, pred);
   };
 
   pump_home([&] { return run->all_acked(); });
@@ -150,16 +102,13 @@ TEST(IntegrationThreads, FarmAcrossRealThreadsOverTcp) {
 }
 
 TEST(IntegrationTcp, DeployRunAndStatusOverRealSockets) {
-  net::Clock clock = net::steady_clock_seconds();
-  TimerQueue timers(clock);
-
-  net::TcpTransport home_t(0), worker_t(0);
+  net::TcpLoopbackBackend be;
   ServiceConfig hc;
   hc.peer_id = "home";
-  TrianaService home(home_t, clock, timers.scheduler(), reg(), hc);
+  TrianaService home(be.add_node(), be.clock(), be.scheduler(), reg(), hc);
   ServiceConfig wc;
   wc.peer_id = "worker";
-  TrianaService worker(worker_t, clock, timers.scheduler(), reg(), wc);
+  TrianaService worker(be.add_node(), be.clock(), be.scheduler(), reg(), wc);
   home.node().add_neighbor(worker.endpoint());
   worker.node().add_neighbor(home.endpoint());
 
@@ -171,12 +120,8 @@ TEST(IntegrationTcp, DeployRunAndStatusOverRealSockets) {
   g.connect("Wave", 0, "Sink", 0);
   home.publish_graph_modules(g, 4096);
 
-  auto pump = [&](auto pred) {
-    for (int spin = 0; spin < 20000 && !pred(); ++spin) {
-      home_t.poll_wait(1);
-      worker_t.poll_wait(1);
-      timers.poll();
-    }
+  auto pump = [&](const std::function<bool()>& pred) {
+    be.run_until(be.now() + 20.0, pred);
   };
 
   DeployAckMsg ack;

@@ -1,12 +1,12 @@
 // Tests for the cg_net substrate: the discrete-event simulator's clock,
-// link model, determinism and churn behaviour; and the real TCP transport
-// on loopback.
+// link model, determinism and churn behaviour; the FaultPlan interpreter on
+// both backends; and the real TCP transport on loopback.
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "net/fault.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
+#include "net/loopback.hpp"
 #include "net/tcp.hpp"
 
 namespace cg::net {
@@ -152,18 +152,20 @@ TEST(Sim, DownSenderCannotTransmit) {
 }
 
 TEST(Sim, LossModelDropsApproximatelyTheConfiguredFraction) {
-  LinkParams p;
-  p.loss_probability = 0.3;
-  SimNetwork net(p, 7);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
+  SimBackend be({}, 7);
+  auto& a = be.add_node();
+  auto& b = be.add_node();
+  FaultPlan plan;
+  plan.default_link.drop = 0.3;
+  be.arm_faults(plan, 7);
   int got = 0;
   b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
   const int n = 5000;
   for (int i = 0; i < n; ++i) a.send(b.local(), text_frame("m"));
-  net.run_all();
+  be.net().run_all();
   EXPECT_NEAR(static_cast<double>(got) / n, 0.7, 0.03);
-  EXPECT_EQ(net.stats().messages_dropped + net.stats().messages_delivered,
+  EXPECT_EQ(be.net().stats().messages_dropped +
+                be.net().stats().messages_delivered,
             static_cast<std::uint64_t>(n));
 }
 
@@ -219,18 +221,6 @@ TEST(Sim, UnknownNodeThrows) {
                std::invalid_argument);
 }
 
-TEST(Sim, LatencyFnOverridesLinkModel) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  net.set_latency_fn([](std::uint32_t, std::uint32_t) { return 7.0; });
-  double at = -1;
-  b.set_handler([&](const Endpoint&, serial::Frame) { at = net.now(); });
-  a.send(b.local(), text_frame("x"));
-  net.run_all();
-  EXPECT_NEAR(at, 7.0, 1e-12);
-}
-
 TEST(Sim, StatsCountBytes) {
   SimNetwork net({}, 1);
   auto& a = net.add_node();
@@ -252,63 +242,90 @@ TEST(Sim, RunAllBoundsRunawayEventLoops) {
 }
 
 // ----------------------------------------------------------- fault injection
+//
+// The FaultPlan interpreter is shared by both backends, so the scenarios
+// that mean the same thing on a socket run on both, the way the parity
+// suite does: once over the simulator, once over loopback TCP. Timelines
+// leave half a second of slack around every scripted edge for a slow
+// runner.
+
+/// Run `scenario` on a fresh SimBackend, then on a fresh TcpLoopbackBackend.
+template <typename Scenario>
+void on_both_backends(Scenario scenario) {
+  {
+    SCOPED_TRACE("sim");
+    SimBackend sim;
+    scenario(sim);
+  }
+  {
+    SCOPED_TRACE("tcp");
+    TcpLoopbackBackend tcp;
+    scenario(tcp);
+  }
+}
 
 TEST(Fault, HookDropsFrames) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  int got = 0;
-  b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
+  on_both_backends([](NetworkBackend& be) {
+    auto& a = be.add_node();
+    auto& b = be.add_node();
+    int got = 0;
+    b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
 
-  FaultPlan plan;
-  plan.default_link.drop = 1.0;
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+    FaultPlan plan;
+    plan.default_link.drop = 1.0;
+    be.arm_faults(plan, 7);
 
-  for (int i = 0; i < 5; ++i) a.send(b.local(), text_frame("m"));
-  net.run_all();
-  EXPECT_EQ(got, 0);
-  EXPECT_EQ(inj.stats().dropped, 5u);
-  EXPECT_EQ(net.stats().messages_dropped, 5u);
+    for (int i = 0; i < 5; ++i) a.send(b.local(), text_frame("m"));
+    be.run_until(be.now() + 0.5);
+    EXPECT_EQ(got, 0);
+    EXPECT_EQ(be.fault_stats().frames_seen, 5u);
+    EXPECT_EQ(be.fault_stats().dropped, 5u);
+    if (auto* sim = dynamic_cast<SimBackend*>(&be)) {
+      EXPECT_EQ(sim->net().stats().messages_dropped, 5u);
+    }
+  });
 }
 
 TEST(Fault, HookDuplicatesFrames) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  int got = 0;
-  b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
+  on_both_backends([](NetworkBackend& be) {
+    auto& a = be.add_node();
+    auto& b = be.add_node();
+    int got = 0;
+    b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
 
-  FaultPlan plan;
-  plan.default_link.duplicate = 1.0;
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+    FaultPlan plan;
+    plan.default_link.duplicate = 1.0;
+    be.arm_faults(plan, 7);
 
-  a.send(b.local(), text_frame("twin"));
-  net.run_all();
-  EXPECT_EQ(got, 2);
-  EXPECT_EQ(inj.stats().duplicated, 1u);
-  EXPECT_EQ(net.stats().messages_duplicated, 1u);
+    a.send(b.local(), text_frame("twin"));
+    // The copy lands within delay_max_s (0.5 s) of the original.
+    be.run_until(be.now() + 1.0);
+    be.run_until(be.now() + 10.0, [&] { return got >= 2; });
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(be.fault_stats().duplicated, 1u);
+    if (auto* sim = dynamic_cast<SimBackend*>(&be)) {
+      EXPECT_EQ(sim->net().stats().messages_duplicated, 1u);
+    }
+  });
 }
 
 TEST(Fault, CorruptedFrameIsRejectedAndCounted) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
+  SimBackend be({}, 1);
+  auto& a = be.add_node();
+  auto& b = be.add_node();
   int got = 0;
   b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
 
   FaultPlan plan;
   plan.default_link.corrupt = 1.0;
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  be.arm_faults(plan, 7);
 
   a.send(b.local(), text_frame("fragile payload"));
-  net.run_all();
+  be.net().run_all();
   EXPECT_EQ(got, 0);  // never handed to the application
-  EXPECT_EQ(inj.stats().corrupted, 1u);
-  EXPECT_EQ(net.stats().messages_corrupt_rejected, 1u);
-  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  EXPECT_EQ(be.fault_stats().corrupted, 1u);
+  EXPECT_EQ(be.net().stats().messages_corrupt_rejected, 1u);
+  EXPECT_EQ(be.net().stats().messages_delivered, 0u);
 }
 
 TEST(Fault, DelayReordersFrames) {
@@ -340,67 +357,106 @@ TEST(Fault, DelayReordersFrames) {
 }
 
 TEST(Fault, PerLinkOverridesDefault) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  auto& c = net.add_node();
-  int b_got = 0, c_got = 0;
-  b.set_handler([&](const Endpoint&, serial::Frame) { ++b_got; });
-  c.set_handler([&](const Endpoint&, serial::Frame) { ++c_got; });
+  on_both_backends([](NetworkBackend& be) {
+    auto& a = be.add_node();
+    auto& b = be.add_node();
+    auto& c = be.add_node();
+    int b_got = 0, c_got = 0;
+    b.set_handler([&](const Endpoint&, serial::Frame) { ++b_got; });
+    c.set_handler([&](const Endpoint&, serial::Frame) { ++c_got; });
 
-  FaultPlan plan;  // clean by default; the a->b link loses everything
-  plan.per_link[{0, 1}] = LinkFaults{.drop = 1.0};
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+    FaultPlan plan;  // clean by default; the a->b link loses everything
+    plan.per_link[{0, 1}] = LinkFaults{.drop = 1.0};
+    be.arm_faults(plan, 7);
 
-  a.send(b.local(), text_frame("m"));
-  a.send(c.local(), text_frame("m"));
-  net.run_all();
-  EXPECT_EQ(b_got, 0);
-  EXPECT_EQ(c_got, 1);
+    a.send(b.local(), text_frame("m"));
+    a.send(c.local(), text_frame("m"));
+    be.run_until(be.now() + 10.0, [&] { return c_got == 1; });
+    EXPECT_EQ(b_got, 0);
+    EXPECT_EQ(c_got, 1);
+    EXPECT_EQ(be.fault_stats().dropped, 1u);
+  });
 }
 
 TEST(Fault, CrashWindowTakesNodeDownAndBack) {
-  SimNetwork net({}, 1);
-  auto& a = net.add_node();
-  auto& b = net.add_node();
-  int got = 0;
-  b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
+  on_both_backends([](NetworkBackend& be) {
+    auto& a = be.add_node();
+    auto& b = be.add_node();
+    int got = 0;
+    b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
+
+    // b is down from 0.5 s to 1.5 s after arming.
+    FaultPlan plan;
+    plan.crashes.push_back(CrashWindow{.node = 1, .at_s = 0.5,
+                                       .duration_s = 1.0});
+    const double t0 = be.now();
+    be.arm_faults(plan, 7);
+
+    be.schedule(1.0, [&] { a.send(b.local(), text_frame("into-void")); });
+    be.schedule(2.0, [&] { a.send(b.local(), text_frame("after")); });
+    be.run_until(t0 + 2.0);
+    be.run_until(t0 + 10.0, [&] { return got >= 1; });
+
+    EXPECT_EQ(got, 1);  // only the post-restart frame lands
+    EXPECT_EQ(be.fault_stats().crashes_opened, 1u);
+    EXPECT_EQ(be.fault_stats().crashes_closed, 1u);
+    if (auto* sim = dynamic_cast<SimBackend*>(&be)) {
+      EXPECT_TRUE(sim->net().is_up(1));  // restarted
+    }
+  });
+}
+
+// A crash window's at_s counts from arm_faults, not from time zero.
+TEST(Fault, CrashWindowIsRelativeToArming) {
+  SimBackend be({}, 1);
+  be.add_node();
+  be.add_node();
+  be.run_until(5.0);
 
   FaultPlan plan;
   plan.crashes.push_back(CrashWindow{.node = 1, .at_s = 1.0,
                                      .duration_s = 2.0});
-  FaultInjector inj(net, plan, 7);
-  inj.arm();
+  be.arm_faults(plan, 7);
 
-  net.schedule(1.5, [&] { a.send(b.local(), text_frame("into-void")); });
-  net.schedule(4.0, [&] { a.send(b.local(), text_frame("after")); });
-  net.run_all();
+  be.run_until(5.9);
+  EXPECT_TRUE(be.net().is_up(1));
+  be.run_until(6.0);
+  EXPECT_FALSE(be.net().is_up(1));
+  be.run_until(7.9);
+  EXPECT_FALSE(be.net().is_up(1));
+  be.run_until(8.0);
+  EXPECT_TRUE(be.net().is_up(1));
+}
 
-  EXPECT_EQ(got, 1);  // only the post-restart frame lands
-  EXPECT_EQ(inj.stats().crashes_opened, 1u);
-  EXPECT_EQ(inj.stats().crashes_closed, 1u);
-  EXPECT_TRUE(net.is_up(1));  // restarted
+TEST(Fault, NegativeCrashOffsetIsRejected) {
+  on_both_backends([](NetworkBackend& be) {
+    be.add_node();
+    FaultPlan bad;
+    bad.crashes.push_back(CrashWindow{.node = 0, .at_s = -1.0});
+    EXPECT_THROW(be.arm_faults(bad, 7), std::invalid_argument);
+    // The rejected plan armed nothing; a good one still arms, once.
+    EXPECT_NO_THROW(be.arm_faults(FaultPlan{}, 7));
+    EXPECT_THROW(be.arm_faults(FaultPlan{}, 7), std::logic_error);
+  });
 }
 
 TEST(Fault, DeterministicForSeedAndPlan) {
   auto run = [] {
     LinkParams p;
     p.jitter_s = 0.015;
-    SimNetwork net(p, 11);
-    auto& a = net.add_node();
-    auto& b = net.add_node();
+    SimBackend be(p, 11);
+    auto& a = be.add_node();
+    auto& b = be.add_node();
     int got = 0;
     b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
 
     FaultPlan plan;
     plan.default_link = LinkFaults{.drop = 0.2, .duplicate = 0.1,
                                    .corrupt = 0.05, .delay = 0.3};
-    FaultInjector inj(net, plan, 23);
-    inj.arm();
+    be.arm_faults(plan, 23);
     for (int i = 0; i < 500; ++i) a.send(b.local(), text_frame("m"));
-    net.run_all();
-    return std::make_pair(inj.stats(), net.stats());
+    be.net().run_all();
+    return std::make_pair(be.fault_stats(), be.net().stats());
   };
   auto [f1, n1] = run();
   auto [f2, n2] = run();

@@ -17,9 +17,8 @@
 #include "core/service/controller.hpp"
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/fault.hpp"
+#include "net/backend.hpp"
 #include "net/reliable.hpp"
-#include "net/sim_network.hpp"
 #include "obs/obs.hpp"
 #include "p2p/node_id.hpp"
 #include "p2p/overlay.hpp"
@@ -311,41 +310,37 @@ TEST(Tracer, RingOverwritesExportedAsGauge) {
 // --------------------------------------------- reliable transport + network
 
 struct LossyPair {
-  explicit LossyPair(double drop, std::uint64_t seed = 11) : net({}, seed) {
-    auto clock = [this] { return net.now(); };
-    auto sched = [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
-    a = std::make_unique<net::ReliableTransport>(net.add_node(), clock, sched,
+  explicit LossyPair(double drop, std::uint64_t seed = 11) : be({}, seed) {
+    auto clock = be.clock();
+    auto sched = be.scheduler();
+    a = std::make_unique<net::ReliableTransport>(be.add_node(), clock, sched,
                                                  net::ReliableConfig{});
-    b = std::make_unique<net::ReliableTransport>(net.add_node(), clock, sched,
+    b = std::make_unique<net::ReliableTransport>(be.add_node(), clock, sched,
                                                  net::ReliableConfig{});
-    net.set_obs(registry, &tracer);
+    be.net().set_obs(registry, &tracer);
     a->set_obs(registry, &tracer, "a");
     b->set_obs(registry, &tracer, "b");
+    net::FaultPlan plan;
     plan.default_link.drop = drop;
-    inj = std::make_unique<net::FaultInjector>(net, plan, seed ^ 0x5eedu);
-    if (drop > 0) inj->arm();
+    if (drop > 0) be.arm_faults(plan, seed ^ 0x5eedu);
   }
 
   void send_burst(int n) {
     b->set_handler([](const net::Endpoint&, serial::Frame) {});
     for (int i = 0; i < n; ++i) {
-      net.schedule(i * 0.25, [this] {
+      be.schedule(i * 0.25, [this] {
         serial::Frame f;
         f.type = serial::FrameType::kControl;
         f.payload = {1, 2, 3};
         a->send(b->local(), f);
       });
     }
-    net.run_all();
+    be.net().run_all();
   }
 
-  net::SimNetwork net;
+  net::SimBackend be;
   obs::Registry registry;
   obs::Tracer tracer{1 << 12};
-  net::FaultPlan plan;
-  std::unique_ptr<net::FaultInjector> inj;
   std::unique_ptr<net::ReliableTransport> a, b;
 };
 
@@ -400,15 +395,14 @@ TEST(ObsReliable, LossFreeLinkShowsZeroRetransmits) {
 }
 
 TEST(ObsNetwork, FrameCountersMirrorSimStats) {
-  net::SimNetwork net({}, 3);
+  net::SimBackend be({}, 3);
   obs::Registry reg;
-  net.set_obs(reg, nullptr, "net0");
-  auto& a = net.add_node();
-  auto& b = net.add_node();
+  be.net().set_obs(reg, nullptr, "net0");
+  auto& a = be.add_node();
+  auto& b = be.add_node();
   net::FaultPlan plan;
   plan.default_link.drop = 0.3;
-  net::FaultInjector inj(net, plan, 99);
-  inj.arm();
+  be.arm_faults(plan, 99);
 
   int got = 0;
   b.set_handler([&](const net::Endpoint&, serial::Frame) { ++got; });
@@ -418,15 +412,16 @@ TEST(ObsNetwork, FrameCountersMirrorSimStats) {
     f.payload = {42};
     a.send(b.local(), f);
   }
-  net.run_all();
+  be.net().run_all();
 
   const obs::MetricsSnapshot snap = reg.snapshot();
 #if CONGRID_OBS_ENABLED
-  EXPECT_EQ(snap.counter("net0.net.messages_sent"), net.stats().messages_sent);
+  EXPECT_EQ(snap.counter("net0.net.messages_sent"),
+            be.net().stats().messages_sent);
   EXPECT_EQ(snap.counter("net0.net.messages_delivered"),
-            net.stats().messages_delivered);
+            be.net().stats().messages_delivered);
   EXPECT_EQ(snap.counter("net0.net.messages_dropped"),
-            net.stats().messages_dropped);
+            be.net().stats().messages_dropped);
   EXPECT_EQ(snap.counter("net0.net.messages_sent"), 100u);
   EXPECT_GT(snap.counter("net0.net.messages_dropped"), 0u);
   EXPECT_EQ(snap.counter("net0.net.messages_delivered"),
@@ -434,7 +429,7 @@ TEST(ObsNetwork, FrameCountersMirrorSimStats) {
   // Per-link delay histogram saw every delivered frame.
   ASSERT_NE(snap.histogram("net0.net.link_delay_s"), nullptr);
   EXPECT_EQ(snap.histogram("net0.net.link_delay_s")->count,
-            net.stats().messages_delivered);
+            be.net().stats().messages_delivered);
 #else
   EXPECT_EQ(snap.counter("net0.net.messages_sent"), 0u);
 #endif
@@ -478,14 +473,14 @@ TEST(ObsCache, CountersMatchCacheStats) {
 // ------------------------------------------------------------------ churn
 
 TEST(ObsChurn, TraceTransitionsAreCounted) {
-  net::SimNetwork net({}, 5);
-  net.add_node();  // node 0
+  net::SimBackend be({}, 5);
+  be.add_node();  // node 0
   obs::Registry reg;
   obs::Tracer tracer(256);
   // Two availability intervals: up at 1..3 and 5..7 (down otherwise).
   churn::Trace trace{{1.0, 3.0}, {5.0, 7.0}};
-  churn::apply_trace(net, 0, trace, &reg, &tracer);
-  net.run_all();
+  churn::apply_trace(be, 0, trace, &reg, &tracer);
+  be.net().run_all();
   const obs::MetricsSnapshot snap = reg.snapshot();
 #if CONGRID_OBS_ENABLED
   // One initial down + each interval contributes one up and one down.
@@ -508,17 +503,15 @@ TEST(ObsChurn, TraceTransitionsAreCounted) {
 TEST(ObsService, RemoteDeployRecordsLifecycle) {
   using namespace cg::core;
   static UnitRegistry ureg = UnitRegistry::with_builtins();
-  net::SimNetwork net({}, 1);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 1);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   ServiceConfig hc;
   hc.peer_id = "home";
-  TrianaService home(net.add_node(), clock, sched, ureg, hc);
+  TrianaService home(be.add_node(), clock, sched, ureg, hc);
   ServiceConfig wc;
   wc.peer_id = "w0";
-  TrianaService worker(net.add_node(), clock, sched, ureg, wc);
+  TrianaService worker(be.add_node(), clock, sched, ureg, wc);
   home.node().add_neighbor(worker.endpoint());
   worker.node().add_neighbor(home.endpoint());
 
@@ -536,7 +529,7 @@ TEST(ObsService, RemoteDeployRecordsLifecycle) {
   bool acked = false;
   home.deploy_remote(worker.endpoint(), g, 3,
                      [&](const DeployAckMsg& a) { acked = a.ok; });
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(acked);
 
   const obs::MetricsSnapshot snap = reg.snapshot();
@@ -641,45 +634,43 @@ void expect_all_exported(const obs::MetricsSnapshot& snap,
 }
 
 TEST(ObsExport, WireStatsAllOnMetrics) {
-  net::SimNetwork net({}, 17);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 17);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   net::ReliableConfig rc;
   rc.batch = true;
-  net::ReliableTransport a(net.add_node(), clock, sched, rc);
-  net::ReliableTransport b(net.add_node(), clock, sched, rc);
-  net::SimTransport& raw = net.add_node();
+  net::ReliableTransport a(be.add_node(), clock, sched, rc);
+  net::ReliableTransport b(be.add_node(), clock, sched, rc);
+  net::SimTransport& raw = be.net().add_node();
   obs::Registry reg;
-  net.set_obs(reg, nullptr, "sim");
+  be.net().set_obs(reg, nullptr, "sim");
   a.set_obs(reg, nullptr, "a");
   b.set_obs(reg, nullptr, "b");
 
   net::FaultPlan plan;
   plan.default_link.drop = 0.15;
   plan.default_link.duplicate = 0.1;
-  net::FaultInjector inj(net, plan, 23);
-  inj.arm();
+  // The raw node's frame must reach b intact: its link is fault-free.
+  plan.per_link[{raw.id(), 1u}] = net::LinkFaults{};
+  be.arm_faults(plan, 23);
   b.set_handler([](const net::Endpoint&, serial::Frame) {});
   for (int i = 0; i < 40; ++i) {
-    net.schedule(i * 0.1, [&a, &b, i] {
+    be.schedule(i * 0.1, [&a, &b, i] {
       serial::Frame f;
       f.type = serial::FrameType::kControl;
       f.payload.assign(i % 10 == 0 ? 6000 : 8, 7);  // some bypass batching
       a.send(b.local(), std::move(f));
     });
   }
-  net.run_all();
-  inj.disarm();
-  net.set_up(raw.id(), false);
-  net.set_up(raw.id(), true);
+  be.net().run_all();
+  be.set_up(raw.id(), false);
+  be.set_up(raw.id(), true);
   // One malformed kBatch frame (zero sub-frames) straight onto b's wire.
   serial::Frame bad;
   bad.type = serial::FrameType::kBatch;
   bad.payload = {0, 0};
   raw.send(b.local(), std::move(bad));
-  net.run_all();
+  be.net().run_all();
 
   // The fields count whether or not the obs layer is compiled in.
   EXPECT_EQ(b.stats().malformed_dropped, 1u);
@@ -687,10 +678,10 @@ TEST(ObsExport, WireStatsAllOnMetrics) {
   EXPECT_GT(a.stats().retransmits, 0u);
   EXPECT_GT(a.stats().batch_bypassed, 0u);
   EXPECT_GT(b.stats().batches_received, 0u);
-  EXPECT_EQ(net.stats().node_down, 1u);
+  EXPECT_EQ(be.net().stats().node_down, 1u);
 
   const obs::MetricsSnapshot snap = reg.snapshot();
-  expect_all_exported(snap, "sim.net", net.stats());
+  expect_all_exported(snap, "sim.net", be.net().stats());
   expect_all_exported(snap, "a.reliable", a.stats());
   expect_all_exported(snap, "b.reliable", b.stats());
 }
@@ -698,11 +689,9 @@ TEST(ObsExport, WireStatsAllOnMetrics) {
 TEST(ObsExport, ServiceStackStatsAllOnMetrics) {
   using namespace cg::core;
   static UnitRegistry ureg = UnitRegistry::with_builtins();
-  net::SimNetwork net({}, 29);
-  auto clock = [&net] { return net.now(); };
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 29);
+  auto clock = be.clock();
+  auto sched = be.scheduler();
   // home, w0, w1 and one spare; each peer with its own content store.
   const std::vector<std::string> ids = {"home", "w0", "w1", "s0"};
   std::vector<std::unique_ptr<cas::ContentStore>> stores;
@@ -713,7 +702,7 @@ TEST(ObsExport, ServiceStackStatsAllOnMetrics) {
     ServiceConfig cfg;
     cfg.peer_id = id;
     cfg.cas = stores.back().get();
-    peers.push_back(std::make_unique<TrianaService>(net.add_node(), clock,
+    peers.push_back(std::make_unique<TrianaService>(be.add_node(), clock,
                                                     sched, ureg, cfg));
     peers.back()->set_obs(reg);  // scope = peer id
   }
@@ -738,7 +727,7 @@ TEST(ObsExport, ServiceStackStatsAllOnMetrics) {
   TrianaController ctl(home);
   auto run = ctl.distribute(g, "G", {peers[1]->endpoint(),
                                      peers[2]->endpoint()});
-  net.run_until(5.0);
+  be.run_until(5.0);
   ASSERT_TRUE(run->deployed_ok());
   SupervisorOptions opt;
   opt.probe_period_s = 1.0;
@@ -750,9 +739,9 @@ TEST(ObsExport, ServiceStackStatsAllOnMetrics) {
   sup->start();
   ctl.tick(*run, 8);
   // w1 dies mid-run: detection, fencing and recovery onto the spare.
-  net.schedule(4.0, [&net] { net.set_up(2, false); });
-  net.schedule(8.0, [&ctl, &run] { ctl.tick(*run, 8); });
-  net.run_until(60.0);
+  be.schedule(4.0, [&be] { be.set_up(2, false); });
+  be.schedule(8.0, [&ctl, &run] { ctl.tick(*run, 8); });
+  be.run_until(60.0);
   sup->stop();
 
   EXPECT_GT(home.stats().pipe_items_in, 0u);
@@ -791,10 +780,8 @@ TEST(ObsExport, RuntimeStatsAllOnMetrics) {
 }
 
 TEST(ObsExport, OverlayStatsAllOnMetrics) {
-  net::SimNetwork net({}, 31);
-  auto sched = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  net::SimBackend be({}, 31);
+  auto sched = be.scheduler();
   p2p::OverlayConfig cfg;
   cfg.shards = 4;
   cfg.replication = 2;
@@ -805,7 +792,7 @@ TEST(ObsExport, OverlayStatsAllOnMetrics) {
   for (int i = 0; i < 12; ++i) {
     const std::string id = "o" + std::to_string(i);
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), [&net] { return net.now(); },
+        be.add_node(), be.clock(),
         p2p::PeerConfig{.peer_id = id}));
     everyone.push_back({p2p::node_id_of(id), nodes.back()->endpoint()});
   }
@@ -822,14 +809,14 @@ TEST(ObsExport, OverlayStatsAllOnMetrics) {
     overlays[i]->publish({nodes[i]->make_peer_advert(
         {{"cpu_mhz", std::to_string(600.0 * i)}})});
   }
-  net.run_all();
+  be.net().run_all();
   p2p::Query q;
   q.kind = p2p::AdvertKind::kPeer;
   q.require_min["cpu_mhz"] = 1000.0;
   bool done = false;
   overlays[0]->find(q, SIZE_MAX,
                     [&](std::vector<p2p::Advertisement>) { done = true; });
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(done);
   EXPECT_GT(overlays[0]->stats().find_rpcs, 0u);
 

@@ -10,7 +10,7 @@
 #include <set>
 
 #include "churn/driver.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "p2p/attribute_index.hpp"
 #include "p2p/discovery.hpp"
 #include "p2p/node_id.hpp"
@@ -296,19 +296,18 @@ std::vector<Contact> sample_buckets(
   return out;
 }
 
-/// N PeerNode+OverlayNode pairs on one SimNetwork, routing tables seeded
+/// N PeerNode+OverlayNode pairs on one SimBackend, routing tables seeded
 /// per-bucket from global knowledge (sparse: a few contacts per bucket).
 class OverlaySwarm {
  public:
   explicit OverlaySwarm(std::size_t n, OverlayConfig cfg = {},
                         std::size_t per_bucket = 2, net::LinkParams lp = {},
                         std::uint64_t seed = 1)
-      : net_(lp, seed) {
+      : be_(lp, seed) {
     std::vector<std::pair<std::uint64_t, net::Endpoint>> sorted;
     for (std::size_t i = 0; i < n; ++i) {
-      auto& t = net_.add_node();
       nodes_.push_back(std::make_unique<PeerNode>(
-          t, [this] { return net_.now(); },
+          be_.add_node(), be_.clock(),
           PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
       sorted.emplace_back(node_id_of(nodes_.back()->id()).bits,
                           nodes_.back()->endpoint());
@@ -319,22 +318,18 @@ class OverlaySwarm {
     };
     for (std::size_t i = 0; i < n; ++i) {
       overlays_.push_back(
-          std::make_unique<OverlayNode>(*nodes_[i], scheduler(), cfg));
+          std::make_unique<OverlayNode>(*nodes_[i], be_.scheduler(), cfg));
     }
   }
 
   PeerNode& peer(std::size_t i) { return *nodes_[i]; }
   OverlayNode& operator[](std::size_t i) { return *overlays_[i]; }
   std::size_t size() const { return overlays_.size(); }
-  net::SimNetwork& net() { return net_; }
-  Scheduler scheduler() {
-    return [this](double d, std::function<void()> fn) {
-      net_.schedule(d, std::move(fn));
-    };
-  }
+  net::SimBackend& backend() { return be_; }
+  net::SimNetwork& net() { return be_.net(); }
 
  private:
-  net::SimNetwork net_;
+  net::SimBackend be_;
   std::vector<std::unique_ptr<PeerNode>> nodes_;
   std::vector<std::unique_ptr<OverlayNode>> overlays_;
 };
@@ -361,14 +356,12 @@ TEST(OverlayLookup, ConvergesToTargetAcrossSparseTables) {
 }
 
 TEST(OverlayLookup, LonerResolvesToItselfSynchronously) {
-  net::SimNetwork net;
-  auto& t = net.add_node();
-  PeerNode peer(t, [&net] { return net.now(); },
+  net::SimBackend be;
+  auto& t = be.add_node();
+  PeerNode peer(t, be.clock(),
                 PeerConfig{.peer_id = "loner"});
   OverlayNode overlay(
-      peer, [&net](double d, std::function<void()> fn) {
-        net.schedule(d, std::move(fn));
-      });
+      peer, be.scheduler());
   bool done = false;
   // A node with no contacts is still part of its own ring: every id
   // resolves to itself, which is what lets a one-node grid self-host
@@ -510,7 +503,7 @@ TEST(OverlayRendezvous, FailsOverToLiveReplica) {
 TEST(OverlayChurn, DeadContactIsEvictedViaRpcTimeouts) {
   OverlaySwarm s(32);
   // Take node 9 down from t=5 on (one availability interval [0, 5)).
-  churn::apply_trace(s.net(), 9, churn::Trace{{0.0, 5.0}});
+  churn::apply_trace(s.backend(), 9, churn::Trace{{0.0, 5.0}});
   const NodeId dead = s[9].id();
 
   // Warm node 0's table with direct evidence of node 9 before it dies.
@@ -599,12 +592,12 @@ TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
   // collect duplicate adverts even though node 1 re-answers each ring
   // (re-answering is deliberate: caches can gain matches mid-search).
   net::LinkParams lp;
-  net::SimNetwork net(lp, 1);
+  net::SimBackend be(lp, 1);
   std::vector<std::unique_ptr<PeerNode>> nodes;
   for (int i = 0; i < 6; ++i) {
-    auto& t = net.add_node();
+    auto& t = be.add_node();
     nodes.push_back(std::make_unique<PeerNode>(
-        t, [&net] { return net.now(); },
+        t, be.clock(),
         PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
   }
   for (int i = 0; i + 1 < 6; ++i) {
@@ -622,9 +615,7 @@ TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
   opt.ring_timeout_s = 1.0;
   opt.min_results = 2;
 
-  auto scheduler = [&net](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  };
+  auto scheduler = be.scheduler();
   SearchResult result;
   bool done = false;
   auto search = std::make_shared<ExpandingRingSearch>(*nodes[0], scheduler, q,
@@ -633,7 +624,7 @@ TEST(ExpandingRingFix, WiderRingsWidenInsteadOfReFlooding) {
     result = std::move(r);
     done = true;
   });
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(done);
   EXPECT_EQ(result.adverts.size(), 2u);
   EXPECT_EQ(result.succeeded_at_ttl, 4);

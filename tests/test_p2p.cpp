@@ -3,7 +3,7 @@
 // expanding-ring discovery over the simulated network, and named pipes.
 #include <gtest/gtest.h>
 
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "p2p/cache.hpp"
 #include "p2p/discovery.hpp"
 #include "p2p/peer_node.hpp"
@@ -216,15 +216,14 @@ TEST(Messages, TypeMismatchThrows) {
 
 // ----------------------------------------------------- discovery in the sim
 
-/// Test fixture: a line/ring/star of PeerNodes on a SimNetwork.
+/// Test fixture: a line/ring/star of PeerNodes on a SimBackend.
 class Swarm {
  public:
   explicit Swarm(std::size_t n, net::LinkParams lp = {}, std::uint64_t seed = 1)
-      : net_(lp, seed) {
+      : be_(lp, seed) {
     for (std::size_t i = 0; i < n; ++i) {
-      auto& t = net_.add_node();
       nodes_.push_back(std::make_unique<PeerNode>(
-          t, [this] { return net_.now(); },
+          be_.add_node(), be_.clock(),
           PeerConfig{.peer_id = "peer-" + std::to_string(i)}));
     }
   }
@@ -239,15 +238,11 @@ class Swarm {
   }
 
   PeerNode& operator[](std::size_t i) { return *nodes_[i]; }
-  net::SimNetwork& net() { return net_; }
-  Scheduler scheduler() {
-    return [this](double d, std::function<void()> fn) {
-      net_.schedule(d, std::move(fn));
-    };
-  }
+  net::SimNetwork& net() { return be_.net(); }
+  Scheduler scheduler() { return be_.scheduler(); }
 
  private:
-  net::SimNetwork net_;
+  net::SimBackend be_;
   std::vector<std::unique_ptr<PeerNode>> nodes_;
 };
 

@@ -12,7 +12,7 @@
 #include "core/engine/runtime.hpp"
 #include "core/graph/taskgraph_xml.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "p2p/peer_node.hpp"
 #include "repo/module_cache.hpp"
 #include "serial/reader.hpp"
@@ -369,12 +369,12 @@ TEST_P(Seeded, FloodingMessagesBoundedByTwiceEdges) {
   // Whatever the topology and TTL, duplicate suppression caps query
   // traffic at 2 messages per overlay edge, plus at most one response per
   // node.
-  net::SimNetwork net({}, GetParam());
+  net::SimBackend be({}, GetParam());
   const std::size_t n = 24;
   std::vector<std::unique_ptr<p2p::PeerNode>> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<p2p::PeerNode>(
-        net.add_node(), [&net] { return net.now(); },
+        be.add_node(), be.clock(),
         p2p::PeerConfig{.peer_id = "n" + std::to_string(i)}));
   }
   std::size_t edges = 0;
@@ -396,8 +396,8 @@ TEST_P(Seeded, FloodingMessagesBoundedByTwiceEdges) {
   p2p::Query q;
   q.kind = p2p::AdvertKind::kPeer;
   nodes[0]->discover_flood(q, 255, [](const auto&) {});
-  net.run_all();
-  EXPECT_LE(net.stats().messages_sent, 2 * edges + n);
+  be.net().run_all();
+  EXPECT_LE(be.net().stats().messages_sent, 2 * edges + n);
 }
 
 // --------------------------------------------------- RunningStats property

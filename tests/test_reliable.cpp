@@ -6,9 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "net/fault.hpp"
+#include "net/backend.hpp"
 #include "net/reliable.hpp"
-#include "net/sim_network.hpp"
 
 namespace cg::net {
 namespace {
@@ -21,28 +20,19 @@ serial::Frame text_frame(const std::string& s,
   return f;
 }
 
-/// Two reliable endpoints over one SimNetwork (node 0 = a, node 1 = b).
+/// Two reliable endpoints over one SimBackend (node 0 = a, node 1 = b).
 struct ReliablePair {
   explicit ReliablePair(LinkParams p = {}, std::uint64_t seed = 1,
                         ReliableConfig cfg = {})
-      : net(p, seed),
-        ta(net.add_node()),
-        tb(net.add_node()),
-        a(ta, clock(), sched(), cfg),
-        b(tb, clock(), sched(), cfg) {}
+      : be(p, seed),
+        ta(be.add_node()),
+        tb(be.add_node()),
+        a(ta, be.clock(), be.scheduler(), cfg),
+        b(tb, be.clock(), be.scheduler(), cfg) {}
 
-  Clock clock() {
-    return [this] { return net.now(); };
-  }
-  Scheduler sched() {
-    return [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
-  }
-
-  SimNetwork net;
-  SimTransport& ta;
-  SimTransport& tb;
+  SimBackend be;
+  Transport& ta;
+  Transport& tb;
   ReliableTransport a;
   ReliableTransport b;
 };
@@ -57,7 +47,7 @@ TEST(Reliable, CleanLinkDeliversOnceAndAcks) {
   });
 
   pair.a.send(pair.tb.local(), text_frame("deploy"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   EXPECT_EQ(got, (std::vector<std::string>{"deploy"}));
   EXPECT_EQ(pair.a.stats().sent, 1u);
@@ -75,7 +65,7 @@ TEST(Reliable, RetransmitsUntilDelivered) {
   // Drop the first two reliable envelopes on the wire; retransmissions get
   // through.
   int reliable_seen = 0;
-  pair.net.set_fault_fn([&](std::uint32_t, std::uint32_t,
+  pair.be.net().set_fault_fn([&](std::uint32_t, std::uint32_t,
                             const serial::Frame& f) {
     FaultAction act;
     if (f.type == serial::FrameType::kReliable && reliable_seen++ < 2) {
@@ -87,7 +77,7 @@ TEST(Reliable, RetransmitsUntilDelivered) {
   int got = 0;
   pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
   pair.a.send(pair.tb.local(), text_frame("try-try-again"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   EXPECT_EQ(got, 1);
   EXPECT_EQ(pair.a.stats().retransmits, 2u);
@@ -103,17 +93,17 @@ TEST(Reliable, BackoffGrowsTheRetryInterval) {
   // Record when each copy of the envelope hits the wire; never deliver, so
   // the full retry ladder is observable.
   std::vector<double> at;
-  exact.net.set_fault_fn([&](std::uint32_t, std::uint32_t,
+  exact.be.net().set_fault_fn([&](std::uint32_t, std::uint32_t,
                              const serial::Frame& f) {
     FaultAction act;
     if (f.type == serial::FrameType::kReliable) {
-      at.push_back(exact.net.now());
+      at.push_back(exact.be.now());
       act.drop = true;
     }
     return act;
   });
   exact.a.send(exact.tb.local(), text_frame("x"));
-  exact.net.run_until(120.0);
+  exact.be.run_until(120.0);
 
   ASSERT_GE(at.size(), 4u);
   const double gap1 = at[1] - at[0];
@@ -127,7 +117,7 @@ TEST(Reliable, BackoffGrowsTheRetryInterval) {
 TEST(Reliable, DuplicatedEnvelopeIsSuppressedAndReAcked) {
   ReliablePair pair;
   // Deliver every reliable envelope twice.
-  pair.net.set_fault_fn([](std::uint32_t, std::uint32_t,
+  pair.be.net().set_fault_fn([](std::uint32_t, std::uint32_t,
                            const serial::Frame& f) {
     FaultAction act;
     if (f.type == serial::FrameType::kReliable) act.duplicates = 1;
@@ -137,7 +127,7 @@ TEST(Reliable, DuplicatedEnvelopeIsSuppressedAndReAcked) {
   int got = 0;
   pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
   pair.a.send(pair.tb.local(), text_frame("once-only"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   EXPECT_EQ(got, 1);  // the application saw it exactly once
   EXPECT_EQ(pair.b.stats().delivered, 1u);
@@ -150,7 +140,7 @@ TEST(Reliable, DuplicatedEnvelopeIsSuppressedAndReAcked) {
 TEST(Reliable, LostAckProvokesRetransmitNotDuplicateDelivery) {
   ReliablePair pair;
   int acks_seen = 0;
-  pair.net.set_fault_fn([&](std::uint32_t, std::uint32_t,
+  pair.be.net().set_fault_fn([&](std::uint32_t, std::uint32_t,
                             const serial::Frame& f) {
     FaultAction act;
     if (f.type == serial::FrameType::kAck && acks_seen++ == 0) {
@@ -162,7 +152,7 @@ TEST(Reliable, LostAckProvokesRetransmitNotDuplicateDelivery) {
   int got = 0;
   pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
   pair.a.send(pair.tb.local(), text_frame("ack-me-twice"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   EXPECT_EQ(got, 1);
   EXPECT_GE(pair.a.stats().retransmits, 1u);
@@ -176,7 +166,7 @@ TEST(Reliable, ExpiryFiresDropHandlerWithOriginalFrame) {
   cfg.deadline_s = 3.0;
   cfg.max_retries = 2;
   ReliablePair pair({}, 1, cfg);
-  pair.net.set_up(1, false);  // receiver is gone for good
+  pair.be.set_up(1, false);  // receiver is gone for good
 
   int dropped = 0;
   pair.a.set_drop_handler([&](const Endpoint& to, const serial::Frame& f) {
@@ -187,7 +177,7 @@ TEST(Reliable, ExpiryFiresDropHandlerWithOriginalFrame) {
   });
 
   pair.a.send(pair.tb.local(), text_frame("doomed"));
-  pair.net.run_until(120.0);
+  pair.be.run_until(120.0);
 
   EXPECT_EQ(dropped, 1);
   EXPECT_EQ(pair.a.stats().expired, 1u);
@@ -205,7 +195,7 @@ TEST(Reliable, HeartbeatsPassThroughByDefault) {
   pair.a.send(pair.tb.local(),
               text_frame("alive", serial::FrameType::kHeartbeat));
   pair.a.send(pair.tb.local(), text_frame("cmd"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(pair.a.stats().passthrough_sent, 1u);
@@ -225,7 +215,7 @@ TEST(Reliable, CustomPolicySelectsFrameTypes) {
 
   pair.a.send(pair.tb.local(), text_frame("data", serial::FrameType::kData));
   pair.a.send(pair.tb.local(), text_frame("ctrl"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   EXPECT_EQ(got, 2);
   EXPECT_EQ(pair.a.stats().passthrough_sent, 1u);
@@ -242,7 +232,7 @@ TEST(Reliable, DedupWindowEvictsOldestIds) {
   for (int i = 0; i < 10; ++i) {
     pair.a.send(pair.tb.local(), text_frame("m" + std::to_string(i)));
   }
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
   EXPECT_EQ(got, 10);  // eviction never suppresses fresh ids
   EXPECT_EQ(pair.b.stats().dedup_hits, 0u);
 }
@@ -250,7 +240,7 @@ TEST(Reliable, DedupWindowEvictsOldestIds) {
 TEST(Reliable, CorruptionBehavesLikeLoss) {
   ReliablePair pair;
   int reliable_seen = 0;
-  pair.net.set_fault_fn([&](std::uint32_t, std::uint32_t,
+  pair.be.net().set_fault_fn([&](std::uint32_t, std::uint32_t,
                             const serial::Frame& f) {
     FaultAction act;
     if (f.type == serial::FrameType::kReliable && reliable_seen++ == 0) {
@@ -262,25 +252,26 @@ TEST(Reliable, CorruptionBehavesLikeLoss) {
   int got = 0;
   pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
   pair.a.send(pair.tb.local(), text_frame("integrity"));
-  pair.net.run_until(60.0);
+  pair.be.run_until(60.0);
 
   EXPECT_EQ(got, 1);
-  EXPECT_EQ(pair.net.stats().messages_corrupt_rejected, 1u);
+  EXPECT_EQ(pair.be.net().stats().messages_corrupt_rejected, 1u);
   EXPECT_GE(pair.a.stats().retransmits, 1u);
   EXPECT_EQ(pair.b.stats().delivered, 1u);
 }
 
 TEST(Reliable, DeterministicStatsUnderLossySeed) {
   auto run = [] {
-    LinkParams p;
-    p.loss_probability = 0.3;
-    ReliablePair pair(p, 99);
+    ReliablePair pair({}, 99);
+    FaultPlan plan;
+    plan.default_link.drop = 0.3;
+    pair.be.arm_faults(plan, 99);
     int got = 0;
     pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++got; });
     for (int i = 0; i < 50; ++i) {
       pair.a.send(pair.tb.local(), text_frame("m" + std::to_string(i)));
     }
-    pair.net.run_until(300.0);
+    pair.be.run_until(300.0);
     EXPECT_EQ(got, 50);
     return std::make_pair(pair.a.stats(), pair.b.stats());
   };

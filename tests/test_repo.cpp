@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cas/store.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "repo/code_exchange.hpp"
 #include "repo/module_cache.hpp"
 #include "repo/repository.hpp"
@@ -201,9 +201,9 @@ TEST(Cache, DoublePinCountsAreRespected) {
 // ----------------------------------------------------------- code exchange
 
 TEST(CodeExchange, FetchLatestOverSim) {
-  net::SimNetwork net({}, 1);
-  auto& ta = net.add_node();
-  auto& tb = net.add_node();
+  net::SimBackend be({}, 1);
+  auto& ta = be.add_node();
+  auto& tb = be.add_node();
 
   ModuleRepository repo;
   repo.put(make_synthetic_artifact("fft", "1.0", 5000));
@@ -224,7 +224,7 @@ TEST(CodeExchange, FetchLatestOverSim) {
   runner.fetch(ta.local(), "fft", "", [&](std::optional<ModuleArtifact> a) {
     got = std::move(a);
   });
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->version, "1.5");
   EXPECT_EQ(got->size_bytes(), 5000u);
@@ -233,9 +233,9 @@ TEST(CodeExchange, FetchLatestOverSim) {
 }
 
 TEST(CodeExchange, MissingModuleYieldsNullopt) {
-  net::SimNetwork net({}, 1);
-  auto& ta = net.add_node();
-  auto& tb = net.add_node();
+  net::SimBackend be({}, 1);
+  auto& ta = be.add_node();
+  auto& tb = be.add_node();
   ModuleRepository repo;
   CodeExchange owner(ta);
   owner.serve_from(&repo);
@@ -253,15 +253,15 @@ TEST(CodeExchange, MissingModuleYieldsNullopt) {
                  called = true;
                  EXPECT_FALSE(a.has_value());
                });
-  net.run_all();
+  be.net().run_all();
   EXPECT_TRUE(called);
   EXPECT_EQ(owner.stats().requests_not_found, 1u);
 }
 
 TEST(CodeExchange, NonCodeFramesFallThrough) {
-  net::SimNetwork net({}, 1);
-  auto& ta = net.add_node();
-  auto& tb = net.add_node();
+  net::SimBackend be({}, 1);
+  auto& ta = be.add_node();
+  auto& tb = be.add_node();
   CodeExchange ex(tb);
   int fell_through = 0;
   ex.set_fallback_handler(
@@ -272,14 +272,14 @@ TEST(CodeExchange, NonCodeFramesFallThrough) {
   serial::Frame control;
   control.type = serial::FrameType::kControl;
   ta.send(tb.local(), std::move(control));
-  net.run_all();
+  be.net().run_all();
   EXPECT_EQ(fell_through, 1);
 }
 
 TEST(CodeExchange, ExactVersionRequest) {
-  net::SimNetwork net({}, 1);
-  auto& ta = net.add_node();
-  auto& tb = net.add_node();
+  net::SimBackend be({}, 1);
+  auto& ta = be.add_node();
+  auto& tb = be.add_node();
   ModuleRepository repo;
   repo.put(make_synthetic_artifact("fft", "1.0", 100));
   repo.put(make_synthetic_artifact("fft", "2.0", 100));
@@ -295,7 +295,7 @@ TEST(CodeExchange, ExactVersionRequest) {
   std::optional<ModuleArtifact> got;
   runner.fetch(ta.local(), "fft", "1.0",
                [&](std::optional<ModuleArtifact> a) { got = std::move(a); });
-  net.run_all();
+  be.net().run_all();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->version, "1.0");
 }

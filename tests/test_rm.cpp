@@ -4,7 +4,7 @@
 
 #include <atomic>
 
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 #include "rm/batch_queue.hpp"
 #include "rm/manager.hpp"
 #include "rm/thread_pool.hpp"
@@ -179,19 +179,17 @@ TEST(ThreadPoolManager, RunsJobsOnPool) {
 }
 
 TEST(BatchQueue, RespectsSlotLimit) {
-  net::SimNetwork net({}, 1);
+  net::SimBackend be({}, 1);
   BatchQueueOptions opt;
   opt.slots = 2;
   opt.mean_queue_overhead_s = 0.0;
-  SimBatchQueue q([&](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  }, [&] { return net.now(); }, opt, 1);
+  SimBatchQueue q(be.scheduler(), be.clock(), opt, 1);
 
   std::vector<double> completions;
   for (int i = 0; i < 4; ++i) {
-    q.submit(10.0, [&] { completions.push_back(net.now()); });
+    q.submit(10.0, [&] { completions.push_back(be.now()); });
   }
-  net.run_all();
+  be.net().run_all();
   ASSERT_EQ(completions.size(), 4u);
   // 2 slots: first two finish at 10, next two at 20.
   EXPECT_NEAR(completions[0], 10.0, 1e-9);
@@ -204,31 +202,27 @@ TEST(BatchQueue, RespectsSlotLimit) {
 }
 
 TEST(BatchQueue, QueueOverheadDelaysStart) {
-  net::SimNetwork net({}, 1);
+  net::SimBackend be({}, 1);
   BatchQueueOptions opt;
   opt.slots = 8;
   opt.mean_queue_overhead_s = 100.0;
-  SimBatchQueue q([&](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  }, [&] { return net.now(); }, opt, 7);
+  SimBatchQueue q(be.scheduler(), be.clock(), opt, 7);
 
   double done_at = -1.0;
-  q.submit(1.0, [&] { done_at = net.now(); });
-  net.run_all();
+  q.submit(1.0, [&] { done_at = be.now(); });
+  be.net().run_all();
   EXPECT_GT(done_at, 1.0);  // paid some scheduling overhead
 }
 
 TEST(BatchQueue, ManyJobsAllComplete) {
-  net::SimNetwork net({}, 1);
+  net::SimBackend be({}, 1);
   BatchQueueOptions opt;
   opt.slots = 3;
   opt.mean_queue_overhead_s = 5.0;
-  SimBatchQueue q([&](double d, std::function<void()> fn) {
-    net.schedule(d, std::move(fn));
-  }, [&] { return net.now(); }, opt, 3);
+  SimBatchQueue q(be.scheduler(), be.clock(), opt, 3);
   int done = 0;
   for (int i = 0; i < 50; ++i) q.submit(2.0, [&] { ++done; });
-  net.run_all();
+  be.net().run_all();
   EXPECT_EQ(done, 50);
   EXPECT_EQ(q.busy_slots(), 0u);
   EXPECT_EQ(q.queued(), 0u);

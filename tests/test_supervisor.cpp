@@ -5,7 +5,7 @@
 
 #include "core/service/supervisor.hpp"
 #include "core/unit/builtin.hpp"
-#include "net/sim_network.hpp"
+#include "net/backend.hpp"
 
 namespace cg::core {
 namespace {
@@ -55,11 +55,11 @@ TEST(CheckpointStore, SerialiseRoundTrip) {
 // ----------------------------------------------------------------- supervisor
 
 struct SupGrid {
-  explicit SupGrid(int n = 3) : net({}, 1) {
+  explicit SupGrid(int n = 3) : be({}, 1) {
     ServiceConfig hc;
     hc.peer_id = "home";
-    home = std::make_unique<TrianaService>(net.add_node(), clock(), sched(),
-                                           reg(), hc);
+    home = std::make_unique<TrianaService>(be.add_node(), be.clock(),
+                                           be.scheduler(), reg(), hc);
     for (int i = 0; i < n; ++i) {
       ServiceConfig cfg;
       cfg.peer_id = "w" + std::to_string(i);
@@ -69,23 +69,14 @@ struct SupGrid {
 
   /// Workers are sim nodes 1..n in creation order (home is node 0).
   TrianaService& add_worker(ServiceConfig cfg) {
-    workers.push_back(std::make_unique<TrianaService>(net.add_node(), clock(),
-                                                      sched(), reg(), cfg));
+    workers.push_back(std::make_unique<TrianaService>(
+        be.add_node(), be.clock(), be.scheduler(), reg(), cfg));
     home->node().add_neighbor(workers.back()->endpoint());
     workers.back()->node().add_neighbor(home->endpoint());
     return *workers.back();
   }
 
-  std::function<double()> clock() {
-    return [this] { return net.now(); };
-  }
-  std::function<void(double, std::function<void()>)> sched() {
-    return [this](double d, std::function<void()> fn) {
-      net.schedule(d, std::move(fn));
-    };
-  }
-
-  net::SimNetwork net;
+  net::SimBackend be;
   std::unique_ptr<TrianaService> home;
   std::vector<std::unique_ptr<TrianaService>> workers;
 };
@@ -117,7 +108,7 @@ TEST(Supervisor, CheckpointsPeriodically) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -128,7 +119,7 @@ TEST(Supervisor, CheckpointsPeriodically) {
   sup->start();
 
   ctl.tick(*run, 4);
-  grid.net.run_until(21.0);
+  grid.be.run_until(21.0);
   EXPECT_GE(sup->stats().checkpoints_taken, 3u);
   EXPECT_GE(sup->stats().probes_answered, 8u);
   EXPECT_EQ(sup->stats().failures_detected, 0u);
@@ -147,7 +138,7 @@ TEST(Supervisor, DetectsDeadWorkerAndRecoversToSpare) {
 
   // Workers 0 runs the fragment; worker 2 is the spare.
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -160,15 +151,15 @@ TEST(Supervisor, DetectsDeadWorkerAndRecoversToSpare) {
 
   // Stream some work, let checkpoints accumulate.
   ctl.tick(*run, 6);
-  grid.net.run_until(13.0);
+  grid.be.run_until(13.0);
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   ASSERT_EQ(sink->items().size(), 6u);
 
   // Volunteer 0's DSL drops (sim node ids: home=0, w0=1, w1=2, w2=3).
-  grid.net.set_up(1, false);
+  grid.be.set_up(1, false);
 
   // Probes start missing; the supervisor recovers onto the spare.
-  grid.net.run_until(40.0);
+  grid.be.run_until(40.0);
   EXPECT_EQ(sup->stats().failures_detected, 1u);
   EXPECT_EQ(sup->stats().recoveries, 1u);
   EXPECT_EQ(sup->spares_left(), 0u);
@@ -185,7 +176,7 @@ TEST(Supervisor, DetectsDeadWorkerAndRecoversToSpare) {
 
   // And the stream keeps flowing end to end.
   ctl.tick(*run, 4);
-  grid.net.run_until(60.0);
+  grid.be.run_until(60.0);
   EXPECT_EQ(sink->items().size(), 10u);
   EXPECT_GE(acc->count(), 10u);
   sup->stop();
@@ -197,7 +188,7 @@ TEST(Supervisor, NoSpareMeansRecoveryFails) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -207,8 +198,8 @@ TEST(Supervisor, NoSpareMeansRecoveryFails) {
       ctl, run, std::vector<net::Endpoint>{}, opt);
   sup->start();
 
-  grid.net.set_up(1, false);  // w0 is sim node 1
-  grid.net.run_until(30.0);
+  grid.be.set_up(1, false);  // w0 is sim node 1
+  grid.be.run_until(30.0);
   EXPECT_EQ(sup->stats().failures_detected, 1u);
   EXPECT_EQ(sup->stats().recoveries, 0u);
   EXPECT_EQ(sup->stats().recoveries_failed, 1u);
@@ -222,7 +213,7 @@ TEST(Supervisor, StartTwiceThrows) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
 
   auto sup = std::make_shared<RunSupervisor>(
       ctl, run, std::vector<net::Endpoint>{});
@@ -237,7 +228,7 @@ TEST(Supervisor, StopMakesInflightCallbacksNoOps) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -249,16 +240,16 @@ TEST(Supervisor, StopMakesInflightCallbacksNoOps) {
 
   // Warm up the detector, then drop the worker so a recovery begins; stop()
   // lands mid lease-wait, with the replacement callback still scheduled.
-  grid.net.run_until(13.0);
-  grid.net.set_up(1, false);
-  grid.net.run_until(18.0);
+  grid.be.run_until(13.0);
+  grid.be.set_up(1, false);
+  grid.be.run_until(18.0);
   ASSERT_EQ(sup->stats().failures_detected, 1u);
   ASSERT_EQ(sup->stats().recoveries, 0u);  // still waiting out the lease
   sup->stop();
 
   const SupervisorStats frozen = sup->stats();
   const net::Endpoint worker_before = run->workers[0];
-  grid.net.run_until(60.0);
+  grid.be.run_until(60.0);
 
   // The pending lease-wait, probe and checkpoint callbacks all fired into a
   // stopped supervisor: nothing moved.
@@ -285,7 +276,7 @@ TEST(Supervisor, NackedRedeployReturnsSpareToPool) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -300,9 +291,9 @@ TEST(Supervisor, NackedRedeployReturnsSpareToPool) {
   sup->start();
 
   ctl.tick(*run, 4);
-  grid.net.run_until(13.0);
-  grid.net.set_up(1, false);  // w0 dies
-  grid.net.run_until(40.0);
+  grid.be.run_until(13.0);
+  grid.be.set_up(1, false);  // w0 dies
+  grid.be.run_until(40.0);
 
   EXPECT_EQ(sup->stats().failures_detected, 1u);
   EXPECT_EQ(sup->stats().redeploys_nacked, 1u);
@@ -313,7 +304,7 @@ TEST(Supervisor, NackedRedeployReturnsSpareToPool) {
   EXPECT_EQ(run->workers[0], grid.workers[2]->endpoint());
 
   ctl.tick(*run, 3);
-  grid.net.run_until(60.0);
+  grid.be.run_until(60.0);
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   EXPECT_EQ(sink->items().size(), 7u);
   sup->stop();
@@ -326,7 +317,7 @@ TEST(Supervisor, CorrelatedFailureRecoversBothFragments) {
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(
       g, "G", {grid.workers[0]->endpoint(), grid.workers[1]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -340,14 +331,14 @@ TEST(Supervisor, CorrelatedFailureRecoversBothFragments) {
   sup->start();
 
   ctl.tick(*run, 6);
-  grid.net.run_until(13.0);
+  grid.be.run_until(13.0);
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   ASSERT_EQ(sink->items().size(), 6u);
 
   // Both fragment hosts vanish in the same probe window.
-  grid.net.set_up(1, false);
-  grid.net.set_up(2, false);
-  grid.net.run_until(45.0);
+  grid.be.set_up(1, false);
+  grid.be.set_up(2, false);
+  grid.be.run_until(45.0);
 
   EXPECT_EQ(sup->stats().failures_detected, 2u);
   EXPECT_EQ(sup->stats().recoveries, 2u);
@@ -358,7 +349,7 @@ TEST(Supervisor, CorrelatedFailureRecoversBothFragments) {
   EXPECT_NE(run->workers[0], run->workers[1]);
 
   ctl.tick(*run, 4);
-  grid.net.run_until(70.0);
+  grid.be.run_until(70.0);
   EXPECT_EQ(sink->items().size(), 10u);
   sup->stop();
 }
@@ -369,7 +360,7 @@ TEST(Supervisor, SpareDyingDuringRecoveryDegradesCleanly) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -379,12 +370,12 @@ TEST(Supervisor, SpareDyingDuringRecoveryDegradesCleanly) {
       ctl, run, std::vector<net::Endpoint>{grid.workers[2]->endpoint()}, opt);
   sup->start();
 
-  grid.net.run_until(13.0);
+  grid.be.run_until(13.0);
   // The worker AND the only spare die together: the redeploy can never be
   // acked. The supervisor must give up cleanly, not hang or spin.
-  grid.net.set_up(1, false);
-  grid.net.set_up(3, false);
-  grid.net.run_until(60.0);
+  grid.be.set_up(1, false);
+  grid.be.set_up(3, false);
+  grid.be.run_until(60.0);
 
   EXPECT_EQ(sup->stats().failures_detected, 1u);
   EXPECT_EQ(sup->stats().redeploys_timed_out, 1u);
@@ -401,7 +392,7 @@ TEST(Supervisor, RecoveryAbortedWhenHostReturnsDuringLeaseWait) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -413,12 +404,12 @@ TEST(Supervisor, RecoveryAbortedWhenHostReturnsDuringLeaseWait) {
   sup->start();
 
   ctl.tick(*run, 4);
-  grid.net.run_until(13.0);
-  grid.net.set_up(1, false);  // partition, not death
-  grid.net.run_until(17.0);
+  grid.be.run_until(13.0);
+  grid.be.set_up(1, false);  // partition, not death
+  grid.be.run_until(17.0);
   ASSERT_EQ(sup->stats().failures_detected, 1u);
-  grid.net.set_up(1, true);  // the host returns during the lease wait
-  grid.net.run_until(40.0);
+  grid.be.set_up(1, true);  // the host returns during the lease wait
+  grid.be.run_until(40.0);
 
   // Life was observed before the lease expired: recovery aborted, the spare
   // stayed in the pool, and the original placement stands.
@@ -431,7 +422,7 @@ TEST(Supervisor, RecoveryAbortedWhenHostReturnsDuringLeaseWait) {
 
   // The lease-suspended job was resumed by the next probe: items flow again.
   ctl.tick(*run, 3);
-  grid.net.run_until(60.0);
+  grid.be.run_until(60.0);
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   EXPECT_EQ(sink->items().size(), 7u);
   sup->stop();
@@ -443,7 +434,7 @@ TEST(Supervisor, SpeculativeStandbyPromotedOnDeath) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -461,12 +452,12 @@ TEST(Supervisor, SpeculativeStandbyPromotedOnDeath) {
   sup->start();
 
   ctl.tick(*run, 6);
-  grid.net.run_until(13.0);
+  grid.be.run_until(13.0);
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   ASSERT_EQ(sink->items().size(), 6u);
 
-  grid.net.set_up(1, false);
-  grid.net.run_until(45.0);
+  grid.be.set_up(1, false);
+  grid.be.run_until(45.0);
 
   // Suspicion crossed phi_suspect first (standby deployed dark), then
   // phi_dead: promotion, not a cold redeploy.
@@ -485,7 +476,7 @@ TEST(Supervisor, SpeculativeStandbyPromotedOnDeath) {
   auto* acc = dynamic_cast<AccumStatUnit*>(rt->unit("AccumStat"));
   ASSERT_NE(acc, nullptr);
   ctl.tick(*run, 4);
-  grid.net.run_until(70.0);
+  grid.be.run_until(70.0);
   EXPECT_EQ(sink->items().size(), 10u);
   EXPECT_GE(acc->count(), 10u);
   sup->stop();
@@ -497,7 +488,7 @@ TEST(Supervisor, SpeculativeStandbyCancelledWhenSuspicionSubsides) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
 
   SupervisorOptions opt;
@@ -513,14 +504,14 @@ TEST(Supervisor, SpeculativeStandbyCancelledWhenSuspicionSubsides) {
   sup->start();
 
   ctl.tick(*run, 4);
-  grid.net.run_until(13.0);
+  grid.be.run_until(13.0);
 
   // A blip, not a death: long enough to cross phi_suspect, far too short
   // for phi_dead.
-  grid.net.set_up(1, false);
-  grid.net.run_until(19.0);
-  grid.net.set_up(1, true);
-  grid.net.run_until(40.0);
+  grid.be.set_up(1, false);
+  grid.be.run_until(19.0);
+  grid.be.set_up(1, true);
+  grid.be.run_until(40.0);
 
   EXPECT_EQ(sup->stats().speculative_deploys, 1u);
   EXPECT_EQ(sup->stats().speculative_cancelled, 1u);
@@ -531,7 +522,7 @@ TEST(Supervisor, SpeculativeStandbyCancelledWhenSuspicionSubsides) {
   EXPECT_EQ(run->workers[0], grid.workers[0]->endpoint());
 
   ctl.tick(*run, 3);
-  grid.net.run_until(60.0);
+  grid.be.run_until(60.0);
   auto* sink = ctl.home_runtime(*run)->unit_as<GrapherUnit>("Sink");
   EXPECT_EQ(sink->items().size(), 7u);
   sup->stop();
@@ -549,7 +540,7 @@ TEST(Supervisor, SuspendedJobResumesOnlyOnExplicitEpochGatedResume) {
   grid.home->publish_graph_modules(g);
   TrianaController ctl(*grid.home);
   auto run = ctl.distribute(g, "G", {grid.workers[0]->endpoint()});
-  grid.net.run_all();
+  grid.be.net().run_all();
   ASSERT_TRUE(run->deployed_ok());
   const std::string job = run->remote_jobs[0];
   const net::Endpoint w = grid.workers[0]->endpoint();
@@ -557,7 +548,7 @@ TEST(Supervisor, SuspendedJobResumesOnlyOnExplicitEpochGatedResume) {
   // Grant a short lease via a probe, then go silent: the job self-suspends
   // when the lease runs dry.
   grid.home->request_status(w, job, [](const StatusMsg&) {}, 0, 2.0);
-  grid.net.run_until(10.0);
+  grid.be.run_until(10.0);
   EXPECT_GE(grid.workers[0]->stats().jobs_suspended, 1u);
 
   // A later leased probe -- indistinguishable from a stale retransmission
@@ -565,24 +556,24 @@ TEST(Supervisor, SuspendedJobResumesOnlyOnExplicitEpochGatedResume) {
   StatusMsg seen;
   grid.home->request_status(
       w, job, [&](const StatusMsg& m) { seen = m; }, 0, 2.0);
-  grid.net.run_until(10.5);
+  grid.be.run_until(10.5);
   EXPECT_TRUE(seen.known);
   EXPECT_TRUE(seen.suspended);
 
   // A resume at the wrong epoch is ignored...
   grid.home->resume_remote(w, job, 7, 2.0);
-  grid.net.run_until(11.0);
+  grid.be.run_until(11.0);
   grid.home->request_status(
       w, job, [&](const StatusMsg& m) { seen = m; }, 0, 2.0);
-  grid.net.run_until(11.5);
+  grid.be.run_until(11.5);
   EXPECT_TRUE(seen.suspended);
 
   // ...and the current-epoch resume un-suspends it.
   grid.home->resume_remote(w, job, 0, 2.0);
-  grid.net.run_until(12.0);
+  grid.be.run_until(12.0);
   grid.home->request_status(
       w, job, [&](const StatusMsg& m) { seen = m; }, 0, 2.0);
-  grid.net.run_until(12.5);
+  grid.be.run_until(12.5);
   EXPECT_FALSE(seen.suspended);
   EXPECT_TRUE(seen.running);
 }
