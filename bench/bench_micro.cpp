@@ -2,8 +2,8 @@
 //
 // Sanity numbers behind the experiment harnesses: complex and real FFTs,
 // fast-vs-direct correlation and the matched filter at Case 2's 2^21-point
-// padded chunk (the inspiral kernel), DataItem and frame codecs, XML
-// task-graph parsing, simulated-network event throughput, and chirp/SPH
+// padded chunk (the inspiral kernel), DataItem and frame codecs, CRC-32,
+// XML task-graph parsing, simulated-network event throughput, and chirp/SPH
 // generation costs.
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
 #include "net/sim_network.hpp"
+#include "serial/crc32.hpp"
 #include "serial/frame.hpp"
 
 using namespace cg;
@@ -104,11 +105,19 @@ void BM_ChirpGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ChirpGeneration);
 
+// Arg > 0: a sample set of that many doubles. Arg 0: a 256x256 image, the
+// shape of one Case-1 galaxy frame (512 KiB of pixels).
 void BM_DataItemCodec(benchmark::State& state) {
-  core::SampleSet s;
-  s.sample_rate = 2000;
-  s.samples = random_signal(static_cast<std::size_t>(state.range(0)), 3);
-  const core::DataItem item(s);
+  core::DataItem item;
+  if (state.range(0) > 0) {
+    core::SampleSet s;
+    s.sample_rate = 2000;
+    s.samples = random_signal(static_cast<std::size_t>(state.range(0)), 3);
+    item = core::DataItem(std::move(s));
+  } else {
+    item = core::DataItem(
+        core::ImageFrame{256, 256, random_signal(256 * 256, 3)});
+  }
   for (auto _ : state) {
     auto bytes = core::encode_data_item(item);
     auto back = core::decode_data_item(bytes);
@@ -117,7 +126,21 @@ void BM_DataItemCodec(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(item.byte_size()));
 }
-BENCHMARK(BM_DataItemCodec)->Arg(1 << 10)->Arg(1 << 16);
+BENCHMARK(BM_DataItemCodec)->Arg(1 << 10)->Arg(1 << 16)->Arg(0);
+
+void BM_Crc32(benchmark::State& state) {
+  serial::Bytes data(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serial::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+// A control frame, a page, and one Case-1 image frame.
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(512 << 10);
 
 void BM_FrameEncodeDecode(benchmark::State& state) {
   serial::Frame f;

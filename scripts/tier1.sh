@@ -80,11 +80,15 @@ cmake -B "${ASAN_DIR}" -S . -DCONGRID_SANITIZE=address,undefined >/dev/null
 # test_integration: whole services on separate threads over sockets.
 # test_dsp: the FFT's real-transform split step pairs bin k with bin n/2-k,
 # and its k = 0 and k = n/2 ends are where an index would run past a buffer.
+# test_serial, test_core_types, test_p2p: the bulk f64 codec writes and reads
+# through raw pointers, and envelopes and pipe frames are unwrapped by
+# erasing a prefix in place -- a miscounted length reads past a buffer there.
 cmake --build "${ASAN_DIR}" -j --target test_reliable test_chaos test_net \
   test_obs test_obs_http test_wire test_tcp_parity test_overlay \
-  test_integration test_dsp
+  test_integration test_dsp test_serial test_core_types test_p2p
 for t in test_reliable test_chaos test_net test_obs test_obs_http \
-         test_wire test_tcp_parity test_overlay test_integration test_dsp; do
+         test_wire test_tcp_parity test_overlay test_integration test_dsp \
+         test_serial test_core_types test_p2p; do
   "./${ASAN_DIR}/tests/${t}"
 done
 

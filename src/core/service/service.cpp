@@ -58,6 +58,15 @@ bool contains_label(const std::vector<std::string>& labels,
   return std::find(labels.begin(), labels.end(), label) != labels.end();
 }
 
+/// Send `item` over a bound pipe, encoded straight into the outgoing frame
+/// (no intermediate payload buffer).
+void send_item(p2p::PipeServe& pipes, const p2p::OutputPipe& pipe,
+               const DataItem& item, std::uint64_t epoch) {
+  pipes.send(
+      pipe, encoded_size(item),
+      [&item](serial::Writer& w) { encode_data_item(item, w); }, epoch);
+}
+
 }  // namespace
 
 TrianaService::TrianaService(net::Transport& transport, net::Clock clock,
@@ -760,7 +769,7 @@ void TrianaService::on_channel_send(const std::string& job_id,
   auto pit = job.out_pipes.find(label);
   if (pit != job.out_pipes.end() && pit->second.bound()) {
     ++stats_.pipe_items_out;
-    pipes_.send(pit->second, encode_data_item(item), job.epoch);
+    send_item(pipes_, pit->second, item, job.epoch);
     return;
   }
 
@@ -827,7 +836,7 @@ void TrianaService::start_output_bind(const std::string& job_id,
     if (bit != j.out_backlog.end()) {
       for (auto& queued : bit->second) {
         ++stats_.pipe_items_out;
-        pipes_.send(pipe, encode_data_item(queued), j.epoch);
+        send_item(pipes_, pipe, queued, j.epoch);
       }
       j.out_backlog.erase(bit);
     }

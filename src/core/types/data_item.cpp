@@ -41,7 +41,42 @@ std::string data_type_name(DataType t) {
 }
 
 serial::Bytes encode_data_item(const DataItem& item) {
-  serial::Writer w(item.byte_size() + 8);
+  serial::Writer w(encoded_size(item));
+  encode_data_item(item, w);
+  return w.take();
+}
+
+std::size_t encoded_size(const DataItem& item) {
+  using serial::varint_size;
+  const auto str = [](const std::string& s) {
+    return varint_size(s.size()) + s.size();
+  };
+  const auto f64s = [](const std::vector<double>& v) {
+    return varint_size(v.size()) + v.size() * 8;
+  };
+  switch (item.type()) {
+    case DataType::kEmpty: return 1;
+    case DataType::kScalar: return 9;
+    case DataType::kInteger: return 9;
+    case DataType::kText: return 1 + str(item.text());
+    case DataType::kSampleSet: return 9 + f64s(item.samples().samples);
+    case DataType::kSpectrum: return 9 + f64s(item.spectrum().power);
+    case DataType::kImage: return 9 + f64s(item.image().pixels);
+    case DataType::kTable: {
+      const Table& t = item.table();
+      std::size_t n = 1 + varint_size(t.columns.size()) +
+                      varint_size(t.rows.size());
+      for (const auto& c : t.columns) n += str(c);
+      for (const auto& r : t.rows) {
+        for (const auto& cell : r) n += str(cell);
+      }
+      return n;
+    }
+  }
+  return 1;
+}
+
+void encode_data_item(const DataItem& item, serial::Writer& w) {
   w.u8(static_cast<std::uint8_t>(item.type()));
   switch (item.type()) {
     case DataType::kEmpty:
@@ -82,7 +117,6 @@ serial::Bytes encode_data_item(const DataItem& item) {
       break;
     }
   }
-  return w.take();
 }
 
 DataItem decode_data_item(const serial::Bytes& bytes) {

@@ -17,6 +17,10 @@
 
 #include "serial/bytes.hpp"
 
+namespace cg::serial {
+class Writer;
+}  // namespace cg::serial
+
 namespace cg::core {
 
 /// A uniformly sampled real signal (triana.types.SampleSet analogue).
@@ -111,5 +115,12 @@ std::string data_type_name(DataType t);
 /// Binary codec: DataItems travel over pipes and inside checkpoints.
 serial::Bytes encode_data_item(const DataItem& item);
 DataItem decode_data_item(const serial::Bytes& bytes);
+
+/// Append the encoding of `item` to `w`: exactly encoded_size(item) bytes,
+/// the same ones encode_data_item returns. Lets a sender encode straight
+/// into an outgoing frame.
+void encode_data_item(const DataItem& item, serial::Writer& w);
+/// Exact size of the encoding, computed without encoding.
+std::size_t encoded_size(const DataItem& item);
 
 }  // namespace cg::core

@@ -100,7 +100,11 @@ void TcpLoopbackBackend::log_frame(std::uint32_t from, std::uint32_t to,
 
 void TcpLoopbackBackend::route_send(std::uint32_t from, const Endpoint& to,
                                     serial::Frame frame, bool is_replay) {
-  const std::uint32_t dst = node_of(to);
+  // Only the fault plan and the wire log need the destination's node id;
+  // an unfaulted, unlogged frame skips the endpoint lookup.
+  const std::uint32_t dst = (faults_ || wire_log_cap_ > 0)
+                                ? node_of(to)
+                                : static_cast<std::uint32_t>(-1);
   // A node inside a crash window sends nothing.
   if (!nodes_[from]->up_) {
     log_frame(from, dst, frame, "dropped");

@@ -259,7 +259,7 @@ void ReliableTransport::on_frame(const Endpoint& from, serial::Frame frame) {
 
   serial::ReliableEnvelope env;
   try {
-    env = serial::decode_envelope(frame);
+    env = serial::decode_envelope(std::move(frame));
   } catch (const serial::DecodeError&) {
     // A real-socket peer can hand us anything; drop instead of unwinding
     // through the reactor.

@@ -20,13 +20,29 @@
 
 namespace cg::net {
 
+namespace {
+
+/// One frame awaiting the wire as three segments, header | payload |
+/// trailer: the payload is the sender's moved buffer, never copied.
+struct OutFrame {
+  serial::FrameHeader header;
+  serial::Bytes payload;
+  serial::FrameTrailer trailer;
+
+  std::size_t size() const {
+    return header.size() + payload.size() + trailer.size();
+  }
+};
+
+}  // namespace
+
 struct TcpTransport::Conn {
   int fd = -1;
   bool connecting = false;      ///< non-blocking connect still in flight
   bool hello_seen = false;      ///< first inbound HELLO consumed
   Endpoint peer;                ///< who the frames are "from"
   serial::FrameDecoder decoder;
-  std::deque<serial::Bytes> outq;  ///< encoded frames awaiting the wire
+  std::deque<OutFrame> outq;    ///< frames awaiting the wire
   std::size_t out_pos = 0;      ///< bytes of outq.front() already written
   bool want_write = false;      ///< EPOLLOUT currently requested
 };
@@ -89,8 +105,11 @@ TcpTransport::~TcpTransport() {
 
 Endpoint TcpTransport::local() const { return tcp_endpoint("127.0.0.1", port_); }
 
-void TcpTransport::queue_frame(Conn& c, const serial::Frame& f) {
-  c.outq.push_back(serial::encode_frame(f));
+void TcpTransport::queue_frame(Conn& c, serial::Frame f) {
+  // Header and CRC trailer are computed before the payload moves out.
+  const serial::FrameHeader header = serial::encode_frame_header(f);
+  const serial::FrameTrailer trailer = serial::encode_frame_trailer(f);
+  c.outq.push_back(OutFrame{header, std::move(f.payload), trailer});
   ++stats_.frames_sent;
   if (c.connecting) {
     if (!c.want_write) {
@@ -113,18 +132,31 @@ void TcpTransport::apply_socket_buffers(int fd) {
 }
 
 bool TcpTransport::try_drain(Conn& c) {
-  constexpr std::size_t kMaxIov = 64;
+  constexpr std::size_t kMaxFrames = 64;  // per writev
   while (!c.outq.empty()) {
-    iovec iov[kMaxIov];
+    iovec iov[3 * kMaxFrames];
     std::size_t niov = 0;
     std::size_t queued = 0;
-    for (const serial::Bytes& b : c.outq) {
-      if (niov == kMaxIov) break;
-      const std::size_t skip = (niov == 0) ? c.out_pos : 0;
-      iov[niov].iov_base = const_cast<std::uint8_t*>(b.data() + skip);
-      iov[niov].iov_len = b.size() - skip;
-      queued += iov[niov].iov_len;
+    // The head frame's first out_pos bytes are already on the wire; the
+    // offset may fall in any of its three segments.
+    std::size_t skip = c.out_pos;
+    const auto add = [&](const std::uint8_t* p, std::size_t len) {
+      if (skip >= len) {
+        skip -= len;
+        return;
+      }
+      iov[niov].iov_base = const_cast<std::uint8_t*>(p + skip);
+      iov[niov].iov_len = len - skip;
+      queued += len - skip;
       ++niov;
+      skip = 0;
+    };
+    std::size_t frames = 0;
+    for (const OutFrame& f : c.outq) {
+      if (frames++ == kMaxFrames) break;
+      add(f.header.data(), f.header.size());
+      add(f.payload.data(), f.payload.size());
+      add(f.trailer.data(), f.trailer.size());
     }
     ssize_t n = ::writev(c.fd, iov, static_cast<int>(niov));
     ++stats_.writev_calls;
@@ -140,8 +172,7 @@ bool TcpTransport::try_drain(Conn& c) {
     // two frames can never interleave on the wire.
     std::size_t left = static_cast<std::size_t>(n);
     while (left > 0) {
-      serial::Bytes& head = c.outq.front();
-      const std::size_t head_rem = head.size() - c.out_pos;
+      const std::size_t head_rem = c.outq.front().size() - c.out_pos;
       if (left >= head_rem) {
         left -= head_rem;
         c.out_pos = 0;
@@ -218,7 +249,7 @@ TcpTransport::Conn& TcpTransport::connect_to(const Endpoint& to) {
   serial::Frame hello;
   hello.type = serial::FrameType::kHeartbeat;
   hello.payload = serial::to_bytes(local().value);
-  queue_frame(it->second, hello);
+  queue_frame(it->second, std::move(hello));
   return it->second;
 }
 
@@ -229,7 +260,7 @@ void TcpTransport::send(const Endpoint& to, serial::Frame frame) {
     if (cit != conns_.end()) c = &cit->second;
   }
   if (!c) c = &connect_to(to);
-  queue_frame(*c, frame);
+  queue_frame(*c, std::move(frame));
 }
 
 void TcpTransport::accept_ready() {
@@ -260,7 +291,7 @@ void TcpTransport::accept_ready() {
     serial::Frame hello;
     hello.type = serial::FrameType::kHeartbeat;
     hello.payload = serial::to_bytes(local().value);
-    queue_frame(it->second, hello);
+    queue_frame(it->second, std::move(hello));
   }
 }
 

@@ -40,11 +40,13 @@ struct TcpStats {
 /// Polled TCP transport bound to 127.0.0.1. Not thread-safe: construct,
 /// send and poll from one thread (run one per peer thread).
 ///
-/// Output path: each send() encodes the frame into a per-connection queue of
-/// wire buffers, then opportunistically drains with scatter-gather writev().
-/// A short write or EAGAIN leaves the partially-sent buffer at the queue
-/// head with its offset recorded, so frame bytes are never reordered or
-/// interleaved -- the remainder goes out first when EPOLLOUT fires.
+/// Output path: each send() queues the frame on its connection as three
+/// segments -- encoded header, the moved payload buffer, CRC trailer -- so
+/// the payload is never copied, then opportunistically drains with
+/// scatter-gather writev(). A short write or EAGAIN leaves the partially-sent
+/// frame at the queue head with its byte offset recorded (it may fall in any
+/// segment), so frame bytes are never reordered or interleaved -- the
+/// remainder goes out first when EPOLLOUT fires.
 /// Input path: read() lands directly in the frame decoder's buffer
 /// (FrameDecoder::recv_span), no staging copy.
 class TcpTransport final : public Transport {
@@ -90,7 +92,7 @@ class TcpTransport final : public Transport {
   void conn_writable(int fd);
   void close_conn(int fd);
   Conn& connect_to(const Endpoint& to);
-  void queue_frame(Conn& c, const serial::Frame& f);
+  void queue_frame(Conn& c, serial::Frame f);
   bool try_drain(Conn& c);  ///< returns false if the conn was closed
   void apply_socket_buffers(int fd);
   void update_epoll(Conn& c);

@@ -119,13 +119,30 @@ void PipeServe::bind_output(const std::string& pipe_name, BindHandler on_bound,
 
 void PipeServe::send(const OutputPipe& pipe, serial::Bytes payload,
                      std::uint64_t epoch) {
+  send(
+      pipe, payload.size(), [&payload](serial::Writer& w) { w.raw(payload); },
+      epoch);
+}
+
+void PipeServe::send(const OutputPipe& pipe, std::size_t payload_size,
+                     const PayloadWriter& write, std::uint64_t epoch) {
   if (!pipe.bound()) {
     throw std::logic_error("send on unbound pipe '" + pipe.name + "'");
   }
-  serial::Writer w(pipe.name.size() + payload.size() + 24);
+  // string name | u64 epoch | blob payload, the blob written in place.
+  serial::Writer w(serial::varint_size(pipe.name.size()) + pipe.name.size() +
+                   8 + serial::varint_size(payload_size) + payload_size);
   w.string(pipe.name);
   w.u64(epoch);
-  w.blob(payload);
+  w.varint(payload_size);
+  const std::size_t start = w.size();
+  write(w);
+  if (w.size() - start != payload_size) {
+    throw std::logic_error("pipe payload writer wrote " +
+                           std::to_string(w.size() - start) +
+                           " bytes, announced " +
+                           std::to_string(payload_size));
+  }
 
   serial::Frame f;
   f.type = serial::FrameType::kData;
@@ -165,7 +182,19 @@ void PipeServe::on_frame(const net::Endpoint& from, serial::Frame frame) {
   serial::Reader r(frame.payload);
   const std::string pipe_name = r.string();
   const std::uint64_t epoch = r.u64();
-  serial::Bytes payload = r.blob();
+  const std::uint64_t len = r.varint();
+  if (len > r.remaining()) {
+    throw serial::DecodeError("pipe payload of " + std::to_string(len) +
+                              " bytes, frame has " +
+                              std::to_string(r.remaining()));
+  }
+  // Unwrap in place: the payload is the frame's buffer minus the header
+  // (and minus any trailing bytes, which the blob encoding never covers).
+  const std::size_t header = frame.payload.size() - r.remaining();
+  serial::Bytes payload = std::move(frame.payload);
+  payload.erase(payload.begin(),
+                payload.begin() + static_cast<std::ptrdiff_t>(header));
+  payload.resize(len);
 
   // Producer fence: a payload from before its sender's last recovery is a
   // potential double-fire -- count it, never apply it.

@@ -20,6 +20,7 @@
 
 #include "p2p/discovery.hpp"
 #include "p2p/peer_node.hpp"
+#include "serial/writer.hpp"
 
 namespace cg::p2p {
 
@@ -93,6 +94,16 @@ class PipeServe {
   /// if the pipe is unbound.
   void send(const OutputPipe& pipe, serial::Bytes payload,
             std::uint64_t epoch = 0);
+
+  /// Appends exactly the announced number of payload bytes to the frame.
+  using PayloadWriter = std::function<void(serial::Writer&)>;
+
+  /// Same wire bytes as send(pipe, payload, epoch), but the payload is
+  /// encoded straight into the outgoing frame by `write`, which must append
+  /// exactly `payload_size` bytes (std::logic_error otherwise). Saves the
+  /// payload-sized buffer and its copy on bulk data.
+  void send(const OutputPipe& pipe, std::size_t payload_size,
+            const PayloadWriter& write, std::uint64_t epoch = 0);
 
   // -- fencing -----------------------------------------------------------------
   /// Reject payloads for `pipe_name` stamped with an epoch below

@@ -10,21 +10,52 @@ namespace cg::serial {
 namespace {
 // "CGF1" little-endian: ConGrid Frame version 1.
 constexpr std::uint32_t kMagic = 0x31464743u;
+
+/// msg id | trace context | inner type: what precedes the inner payload.
+constexpr std::size_t kEnvelopeHeaderSize = 8 + obs::kTraceContextWireSize + 1;
+
+/// Decode everything but the inner payload.
+ReliableEnvelope decode_envelope_header(const Frame& f) {
+  if (f.type != FrameType::kReliable) {
+    throw DecodeError("decode_envelope: frame is not kReliable");
+  }
+  Reader r(f.payload);
+  ReliableEnvelope e;
+  e.msg_id = r.u64();
+  e.trace.trace_id = r.u64();
+  e.trace.parent_span = r.u64();
+  e.trace.lamport = r.u64();
+  e.inner.type = static_cast<FrameType>(r.u8());
+  return e;
+}
+
 }  // namespace
+
+FrameHeader encode_frame_header(const Frame& f) {
+  FrameHeader h;
+  store_le32(h.data(), kMagic);
+  h[4] = static_cast<std::uint8_t>(f.type);
+  store_le32(h.data() + 5, static_cast<std::uint32_t>(f.payload.size()));
+  return h;
+}
+
+FrameTrailer encode_frame_trailer(const Frame& f) {
+  FrameTrailer t;
+  store_le32(t.data(), crc32(f.payload));
+  return t;
+}
 
 Bytes encode_frame(const Frame& f) {
   Writer w(kFrameHeaderSize + f.payload.size() + kFrameTrailerSize);
-  w.u32(kMagic);
-  w.u8(static_cast<std::uint8_t>(f.type));
-  w.u32(static_cast<std::uint32_t>(f.payload.size()));
+  w.raw(encode_frame_header(f));
   w.raw(f.payload);
-  w.u32(crc32(f.payload));
+  w.raw(encode_frame_trailer(f));
   return w.take();
 }
 
 Frame encode_envelope(std::uint64_t msg_id, const Frame& inner,
                       const obs::TraceContext& trace) {
-  Writer w(8 + obs::kTraceContextWireSize + 1 + inner.payload.size());
+  Writer w(kEnvelopeHeaderSize + inner.payload.size());
   w.u64(msg_id);
   w.u64(trace.trace_id);
   w.u64(trace.parent_span);
@@ -38,17 +69,17 @@ Frame encode_envelope(std::uint64_t msg_id, const Frame& inner,
 }
 
 ReliableEnvelope decode_envelope(const Frame& f) {
-  if (f.type != FrameType::kReliable) {
-    throw DecodeError("decode_envelope: frame is not kReliable");
-  }
-  Reader r(f.payload);
-  ReliableEnvelope e;
-  e.msg_id = r.u64();
-  e.trace.trace_id = r.u64();
-  e.trace.parent_span = r.u64();
-  e.trace.lamport = r.u64();
-  e.inner.type = static_cast<FrameType>(r.u8());
-  e.inner.payload = r.raw(r.remaining());
+  ReliableEnvelope e = decode_envelope_header(f);
+  e.inner.payload.assign(f.payload.begin() + kEnvelopeHeaderSize,
+                         f.payload.end());
+  return e;
+}
+
+ReliableEnvelope decode_envelope(Frame&& f) {
+  ReliableEnvelope e = decode_envelope_header(f);
+  f.payload.erase(f.payload.begin(),
+                  f.payload.begin() + kEnvelopeHeaderSize);
+  e.inner.payload = std::move(f.payload);
   return e;
 }
 

@@ -6,6 +6,7 @@
 // byte stream: feed arbitrary chunks, pull out complete frames.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -48,6 +49,14 @@ constexpr std::size_t kFrameTrailerSize = 4;
 /// hostile length field from forcing a giant allocation).
 constexpr std::size_t kMaxFramePayload = 64u * 1024u * 1024u;
 
+/// The bytes encode_frame puts before and after the payload. A sender that
+/// writes a frame scatter-gather (header | payload | trailer) uses these
+/// and never copies the payload.
+using FrameHeader = std::array<std::uint8_t, kFrameHeaderSize>;
+using FrameTrailer = std::array<std::uint8_t, kFrameTrailerSize>;
+FrameHeader encode_frame_header(const Frame& f);
+FrameTrailer encode_frame_trailer(const Frame& f);
+
 // -- reliable-delivery framing ----------------------------------------------
 //
 // The reliable request/reply layer (net/reliable.hpp) wraps application
@@ -74,6 +83,10 @@ Frame encode_envelope(std::uint64_t msg_id, const Frame& inner,
 /// Unwrap a kReliable envelope; throws DecodeError on malformed input or a
 /// non-kReliable frame.
 ReliableEnvelope decode_envelope(const Frame& f);
+/// Same, but unwraps in place: the inner payload is `f`'s buffer with the
+/// envelope header erased, so no fresh payload-sized buffer is allocated.
+/// `f` is left untouched when decoding throws.
+ReliableEnvelope decode_envelope(Frame&& f);
 
 /// Read just the trace context of a kReliable envelope without copying the
 /// inner payload (SimNetwork merges Lamport clocks on delivery and must not

@@ -1,6 +1,6 @@
 #include "serial/reader.hpp"
 
-#include <cstring>
+#include <bit>
 
 namespace cg::serial {
 
@@ -26,20 +26,14 @@ std::uint16_t Reader::u16() {
 
 std::uint32_t Reader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
+  const std::uint32_t v = load_le32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t Reader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
+  const std::uint64_t v = load_le64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -47,12 +41,7 @@ std::uint64_t Reader::u64() {
 std::int32_t Reader::i32() { return static_cast<std::int32_t>(u32()); }
 std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
 
-double Reader::f64() {
-  std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+double Reader::f64() { return std::bit_cast<double>(u64()); }
 
 bool Reader::boolean() { return u8() != 0; }
 
@@ -90,13 +79,22 @@ Bytes Reader::blob() {
 }
 
 std::vector<double> Reader::f64_vector() {
-  std::uint64_t n = varint();
+  const std::uint64_t n = varint();
   // Each element is 8 bytes; guard before allocating so a bogus count
-  // cannot trigger a huge allocation.
-  need(n * 8);
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+  // cannot trigger a huge allocation. Divide rather than multiply: n * 8
+  // wraps for n >= 2^61.
+  if (n > remaining() / 8) {
+    throw DecodeError("truncated input: f64 vector of " + std::to_string(n) +
+                      " elements, have " + std::to_string(remaining()) +
+                      " bytes");
+  }
+  std::vector<double> v(n);
+  const std::uint8_t* in = data_.data() + pos_;
+  for (double& x : v) {
+    x = std::bit_cast<double>(load_le64(in));
+    in += 8;
+  }
+  pos_ += n * 8;
   return v;
 }
 

@@ -52,7 +52,7 @@ class Writer {
   void string(std::string_view s);
   /// Varint length + raw bytes.
   void blob(std::span<const std::uint8_t> b);
-  /// Varint count + each element as f64.
+  /// Varint count + each element as f64 (one resize, then bulk stores).
   void f64_vector(std::span<const double> v);
   /// Raw bytes with no length prefix (caller knows the size).
   void raw(std::span<const std::uint8_t> b);
@@ -67,7 +67,17 @@ class Writer {
   Bytes take() { return std::move(buf_); }
 
  private:
+  /// Extend the buffer by `n` bytes; returns where they start.
+  std::uint8_t* grow(std::size_t n);
+
   Bytes buf_;
 };
+
+/// Bytes Writer::varint(v) appends: 1 for v < 128, up to 10.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 }  // namespace cg::serial

@@ -2,6 +2,8 @@
 // codec round-trips, unit behaviours and parameter handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/types/data_item.hpp"
@@ -9,6 +11,7 @@
 #include "core/unit/proxy_units.hpp"
 #include "dsp/correlate.hpp"
 #include "serial/reader.hpp"
+#include "serial/writer.hpp"
 
 namespace cg::core {
 namespace {
@@ -58,6 +61,61 @@ TEST(DataItem, CorruptImageRejected) {
 TEST(DataItem, TableArityMismatchRejectedOnEncode) {
   Table t{{"a", "b"}, {{"only-one"}}};
   EXPECT_THROW(encode_data_item(DataItem(t)), std::invalid_argument);
+}
+
+TEST(DataItem, ImageGoldenBytesAndBitExactRoundTrip) {
+  // 0.0, -0.0, +inf, -inf, a quiet NaN carrying a payload, the smallest
+  // denormal: the codec must move each bit pattern verbatim.
+  const std::vector<std::uint64_t> bits = {
+      0x0000000000000000ull, 0x8000000000000000ull, 0x7FF0000000000000ull,
+      0xFFF0000000000000ull, 0x7FF80000000ABCDEull, 0x0000000000000001ull};
+  ImageFrame f{3, 2, {}};
+  for (std::uint64_t b : bits) f.pixels.push_back(std::bit_cast<double>(b));
+  const DataItem item(f);
+
+  serial::Bytes expected = {0x06,                    // kImage
+                            0x03, 0x00, 0x00, 0x00,  // width
+                            0x02, 0x00, 0x00, 0x00,  // height
+                            0x06};                   // pixel count
+  for (std::uint64_t b : bits) {
+    for (int i = 0; i < 8; ++i) {
+      expected.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
+    }
+  }
+  EXPECT_EQ(encode_data_item(item), expected);
+
+  const DataItem back = decode_data_item(expected);
+  ASSERT_EQ(back.type(), DataType::kImage);
+  ASSERT_EQ(back.image().pixels.size(), bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.image().pixels[i]), bits[i])
+        << "pixel " << i;
+  }
+}
+
+TEST(DataItem, EncodedSizeAndWriterEncodingMatchEveryType) {
+  const std::vector<DataItem> items = {
+      DataItem(),
+      DataItem(3.25),
+      DataItem(std::int64_t{-42}),
+      DataItem(std::string(200, 'x')),  // two-byte length varint
+      DataItem(SampleSet{2000.0, std::vector<double>(130, 1.5)}),
+      DataItem(SpectrumData{0.5, {0.1, 0.9}}),
+      DataItem(ImageFrame{256, 256, std::vector<double>(65536, 0.25)}),
+      DataItem(Table{{"name", "value"}, {{"a", "1"}, {"b", "2"}}}),
+  };
+  for (const DataItem& item : items) {
+    const serial::Bytes bytes = encode_data_item(item);
+    EXPECT_EQ(encoded_size(item), bytes.size())
+        << data_type_name(item.type());
+    serial::Writer w;
+    w.u8(0xEE);  // appends after whatever the writer already holds
+    encode_data_item(item, w);
+    ASSERT_EQ(w.size(), 1 + bytes.size()) << data_type_name(item.type());
+    EXPECT_EQ(w.bytes()[0], 0xEE);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), w.bytes().begin() + 1))
+        << data_type_name(item.type());
+  }
 }
 
 TEST(DataItem, ByteSizeTracksPayload) {

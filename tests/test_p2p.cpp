@@ -10,6 +10,7 @@
 #include "p2p/pipes.hpp"
 #include "repo/code_exchange.hpp"
 #include "serial/reader.hpp"
+#include "serial/writer.hpp"
 
 namespace cg::p2p {
 namespace {
@@ -501,6 +502,81 @@ TEST(Pipes, AdvertiseBindSend) {
   EXPECT_EQ(got, "payload!");
   EXPECT_EQ(ps0.stats().payloads_sent, 1u);
   EXPECT_EQ(ps2.stats().payloads_received, 1u);
+}
+
+TEST(Pipes, WriterSendMatchesBytesSend) {
+  Swarm s(2);
+  s.make_line();
+  PipeServe ps0(s[0], s.scheduler());
+  PipeServe ps1(s[1], s.scheduler());
+  std::vector<std::string> got;
+  ps1.advertise_input("conn-w",
+                      [&](const net::Endpoint&, serial::Bytes payload) {
+                        got.push_back(serial::to_string(payload));
+                      });
+  OutputPipe pipe;
+  ps0.bind_output("conn-w", [&](OutputPipe p) { pipe = std::move(p); });
+  s.net().run_all();
+  ASSERT_TRUE(pipe.bound());
+
+  const std::string text(300, 'p');  // two-byte length varint
+  ps0.send(pipe, serial::to_bytes(text), 3);
+  const std::uint64_t bytes_one = ps0.stats().bytes_sent;
+  ps0.send(
+      pipe, text.size(),
+      [&](serial::Writer& w) { w.raw(serial::to_bytes(text)); }, 3);
+  EXPECT_EQ(ps0.stats().bytes_sent, 2 * bytes_one);
+
+  // A writer that breaks its size promise sends nothing.
+  EXPECT_THROW(ps0.send(
+                   pipe, 4, [](serial::Writer& w) { w.u8(1); }, 3),
+               std::logic_error);
+  s.net().run_all();
+  EXPECT_EQ(got, (std::vector<std::string>{text, text}));
+  EXPECT_EQ(ps0.stats().payloads_sent, 2u);
+}
+
+/// A kData frame as PipeServe::send lays it out, with a declared payload
+/// length that need not match the bytes that follow.
+serial::Frame pipe_frame(const std::string& name, std::uint64_t declared,
+                         const serial::Bytes& body) {
+  serial::Writer w;
+  w.string(name);
+  w.u64(0);
+  w.varint(declared);
+  w.raw(body);
+  serial::Frame f;
+  f.type = serial::FrameType::kData;
+  f.payload = w.take();
+  return f;
+}
+
+TEST(Pipes, PayloadLongerThanItsFrameThrowsDecodeError) {
+  Swarm s(2);
+  PipeServe ps1(s[1], s.scheduler());
+  int delivered = 0;
+  ps1.advertise_input("conn-x", [&](const net::Endpoint&, serial::Bytes) {
+    ++delivered;
+  });
+  s[0].transport().send(s[1].endpoint(),
+                        pipe_frame("conn-x", 100, serial::Bytes(10, 1)));
+  EXPECT_THROW(s.net().run_all(), serial::DecodeError);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(ps1.stats().payloads_received, 0u);
+}
+
+TEST(Pipes, BytesAfterThePayloadAreIgnored) {
+  Swarm s(2);
+  PipeServe ps1(s[1], s.scheduler());
+  serial::Bytes got;
+  ps1.advertise_input("conn-y",
+                      [&](const net::Endpoint&, serial::Bytes payload) {
+                        got = std::move(payload);
+                      });
+  s[0].transport().send(s[1].endpoint(),
+                        pipe_frame("conn-y", 3, {7, 8, 9, 0xFF, 0xFF}));
+  s.net().run_all();
+  EXPECT_EQ(got, (serial::Bytes{7, 8, 9}));
 }
 
 TEST(Pipes, BindFailsCleanlyWhenAbsent) {

@@ -60,6 +60,22 @@ TEST(Reliable, CleanLinkDeliversOnceAndAcks) {
   EXPECT_EQ(pair.b.stats().dedup_hits, 0u);
 }
 
+TEST(Reliable, TruncatedEnvelopeIsDroppedAndCounted) {
+  ReliablePair pair;
+  int delivered = 0;
+  pair.b.set_handler([&](const Endpoint&, serial::Frame) { ++delivered; });
+  // Straight onto b's wire, one byte short of an envelope header.
+  serial::Frame bad;
+  bad.type = serial::FrameType::kReliable;
+  bad.payload.assign(32, 0);
+  pair.ta.send(pair.tb.local(), std::move(bad));
+  pair.be.run_until(1.0);
+  EXPECT_EQ(pair.b.stats().malformed_dropped, 1u);
+  EXPECT_EQ(pair.b.stats().delivered, 0u);
+  EXPECT_EQ(pair.b.stats().acks_sent, 0u);
+  EXPECT_EQ(delivered, 0);
+}
+
 TEST(Reliable, RetransmitsUntilDelivered) {
   ReliablePair pair;
   // Drop the first two reliable envelopes on the wire; retransmissions get

@@ -2,6 +2,7 @@
 // cases, CRC-32 known answers, frame encode/decode and stream reassembly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -158,9 +159,25 @@ TEST(Reader, OverlongVarintThrows) {
 }
 
 TEST(Reader, HugeF64VectorCountThrows) {
+  // Absurd element counts with no data. From 2^61 up, count * 8 wraps
+  // past 2^64, so a guard that multiplies would let them through.
+  for (const std::uint64_t n :
+       {1ull << 40, 1ull << 61, (1ull << 61) + 1, (1ull << 62) + 1,
+        ~0ull}) {
+    Writer w;
+    w.varint(n);
+    w.f64(1.0);
+    Reader r(w.bytes());
+    EXPECT_THROW(r.f64_vector(), DecodeError) << "count " << n;
+  }
+}
+
+TEST(Reader, F64VectorOneElementShortThrows) {
   Writer w;
-  w.varint(1ull << 40);  // absurd element count, no data
-  Reader r(w.bytes());
+  w.f64_vector(std::vector<double>{1.0, 2.0, 3.0});
+  Bytes b = w.bytes();
+  b.pop_back();
+  Reader r(b);
   EXPECT_THROW(r.f64_vector(), DecodeError);
 }
 
@@ -185,6 +202,51 @@ TEST(Crc32, KnownAnswers) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+/// The reference CRC-32: one table lookup per byte. crc32() must agree
+/// with it on every length, alignment and seed.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t seed) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicingBy8MatchesBytewiseOracle) {
+  Bytes data(1100 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  // Every length 0..1100 at every start offset mod 8; each result seeds
+  // the next call, so the running value exercises arbitrary seeds too.
+  std::uint32_t fast = 0;
+  std::uint32_t slow = 0;
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      fast = crc32(data.data() + off, len, fast);
+      slow = crc32_bytewise(data.data() + off, len, slow);
+      ASSERT_EQ(fast, slow) << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32(data.data() + off, len),
+                crc32_bytewise(data.data() + off, len, 0))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
 TEST(Crc32, IncrementalMatchesOneShot) {
   Bytes data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<std::uint8_t>(i));
@@ -193,6 +255,30 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   running = crc32(data.data(), 400, running);
   running = crc32(data.data() + 400, 600, running);
   EXPECT_EQ(running, oneshot);
+}
+
+TEST(Frame, GoldenWireBytes) {
+  Frame f;
+  f.type = FrameType::kData;
+  const std::string check = "123456789";
+  f.payload.assign(check.begin(), check.end());
+  const Bytes expected = {
+      0x43, 0x47, 0x46, 0x31,  // magic "CGF1"
+      0x02,                    // kData
+      0x09, 0x00, 0x00, 0x00,  // payload length
+      '1', '2', '3', '4', '5', '6', '7', '8', '9',
+      0x26, 0x39, 0xF4, 0xCB,  // CRC-32 check value 0xCBF43926
+  };
+  EXPECT_EQ(encode_frame(f), expected);
+
+  // The scatter-gather pieces are the same bytes around the payload.
+  Bytes pieces;
+  const FrameHeader h = encode_frame_header(f);
+  const FrameTrailer t = encode_frame_trailer(f);
+  pieces.insert(pieces.end(), h.begin(), h.end());
+  pieces.insert(pieces.end(), f.payload.begin(), f.payload.end());
+  pieces.insert(pieces.end(), t.begin(), t.end());
+  EXPECT_EQ(pieces, expected);
 }
 
 TEST(Frame, EncodeDecodeRoundTrip) {
@@ -301,6 +387,39 @@ TEST(Envelope, EmptyInnerPayload) {
   EXPECT_EQ(e.msg_id, 7u);
   EXPECT_EQ(e.inner.type, FrameType::kHeartbeat);
   EXPECT_TRUE(e.inner.payload.empty());
+}
+
+TEST(Envelope, InPlaceUnwrapMatchesCopyingDecode) {
+  Frame inner;
+  inner.type = FrameType::kData;
+  for (int i = 0; i < 1000; ++i) {
+    inner.payload.push_back(static_cast<std::uint8_t>(i * 7));
+  }
+  const obs::TraceContext ctx{11, 22, 33};
+  const Frame env = encode_envelope(42, inner, ctx);
+  const ReliableEnvelope copied = decode_envelope(env);
+  Frame moved = env;
+  const ReliableEnvelope in_place = decode_envelope(std::move(moved));
+  EXPECT_EQ(in_place.msg_id, 42u);
+  EXPECT_EQ(in_place.trace.trace_id, 11u);
+  EXPECT_EQ(in_place.trace.parent_span, 22u);
+  EXPECT_EQ(in_place.trace.lamport, 33u);
+  EXPECT_EQ(in_place.inner.type, FrameType::kData);
+  EXPECT_EQ(in_place.inner.payload, inner.payload);
+  EXPECT_EQ(copied.inner.payload, inner.payload);
+}
+
+TEST(Envelope, TruncatedEnvelopeThrowsAndIsLeftIntact) {
+  // msg id + trace context + inner type is 33 bytes; 32 is one short.
+  Frame f;
+  f.type = FrameType::kReliable;
+  f.payload.assign(32, 0xAB);
+  EXPECT_THROW(decode_envelope(f), DecodeError);
+  EXPECT_THROW(decode_envelope(std::move(f)), DecodeError);
+  EXPECT_EQ(f.payload, Bytes(32, 0xAB));  // NOLINT(bugprone-use-after-move)
+  // Exactly the header: an empty inner payload.
+  f.payload.assign(33, 0);
+  EXPECT_TRUE(decode_envelope(std::move(f)).inner.payload.empty());
 }
 
 TEST(Envelope, WrongFrameTypeThrows) {

@@ -277,6 +277,48 @@ TEST(TcpWire, PartialWritesNeverInterleaveFrames) {
   EXPECT_GT(a.stats().writev_calls, static_cast<std::uint64_t>(kFrames));
 }
 
+// Frames of mixed sizes, down to empty payloads, under a tiny send buffer:
+// a short write can stop inside a frame's header, payload or CRC trailer
+// segment, and the next writev must resume at exactly that byte.
+TEST(TcpWire, PartialWritesResumeInsideAnySegment) {
+  TcpTransport a;
+  TcpTransport b;
+  a.set_socket_buffer_bytes(4096);
+
+  std::vector<serial::Frame> got;
+  b.set_handler([&](const Endpoint&, serial::Frame f) {
+    got.push_back(std::move(f));
+  });
+
+  const std::size_t sizes[] = {0, 1, 3, 9, 4091, 65537, 2, 12, 30011};
+  constexpr int kFrames = 90;
+  const auto byte_at = [](int i, std::size_t j) {
+    return static_cast<std::uint8_t>((i * 29 + j * 13) & 0xFF);
+  };
+  for (int i = 0; i < kFrames; ++i) {
+    serial::Frame f;
+    f.type = serial::FrameType::kData;
+    f.payload.resize(sizes[i % std::size(sizes)]);
+    for (std::size_t j = 0; j < f.payload.size(); ++j) {
+      f.payload[j] = byte_at(i, j);
+    }
+    a.send(b.local(), std::move(f));
+  }
+
+  ASSERT_TRUE(pump_until(a, b, [&] {
+    return got.size() == static_cast<std::size_t>(kFrames);
+  })) << "received " << got.size() << " of " << kFrames;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(got[i].payload.size(), sizes[i % std::size(sizes)])
+        << "frame " << i;
+    for (std::size_t j = 0; j < got[i].payload.size(); ++j) {
+      ASSERT_EQ(got[i].payload[j], byte_at(i, j))
+          << "frame " << i << " byte " << j;
+    }
+  }
+  EXPECT_GT(a.stats().partial_writes, 0u);
+}
+
 // Batching over a real socket: one kBatch frame crosses the kernel instead
 // of dozens of tiny ones, and everything still arrives exactly once.
 TEST(TcpWire, BatchedEnvelopesCrossARealSocket) {
